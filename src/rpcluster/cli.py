@@ -21,7 +21,7 @@ import numpy as np
 from . import io as dataio
 from .metrics import TheoremReport, clustering_error, false_connections, theorem_report
 from .project import KINDS, ProjectorCalibration, make_projector, project_columns
-from .spectral import eigengap_estimate, spectral_cluster
+from .spectral import spectral_cluster
 from .ssc import SSC_MODES, SscConfig, ssc_adjacency
 from .synth import (
     DataSet,

@@ -10,7 +10,11 @@ as a split-variable LP. "lasso_admm" solves the penalized variant
 
 by ADMM, with the per-column weight lambda_j = mu_j / alpha where
 mu_j = max_{i != j} |<x_i, x_j>|. alpha > 1 keeps lambda_j below the
-threshold at which the solution collapses to zero.
+threshold at which the solution collapses to zero. The ADMM advances all
+columns together: every column shares the dictionary X, so after one thin
+SVD each z-update is a rank-min(p, N) correction applied to all columns by
+matrix products, and an iteration costs O(N^2 min(p, N)) for p-dimensional
+points. Each column still keeps its own iterates and stopping rule.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import linprog
 
 SSC_MODES = ("lasso_admm", "exact_l1")
@@ -88,6 +91,18 @@ class SscColumnInfo:
     message: str = ""
 
 
+def check_columns(x: np.ndarray) -> None:
+    """Reject points (columns) with a NaN/inf entry or a zero norm, naming the first."""
+    finite = np.isfinite(x).all(axis=0)
+    if not finite.all():
+        bad = int(np.flatnonzero(~finite)[0])
+        raise ValueError(f"column {bad} has a non-finite entry")
+    norms = np.linalg.norm(x, axis=0)
+    if np.any(norms == 0):
+        bad = int(np.flatnonzero(norms == 0)[0])
+        raise ValueError(f"column {bad} is identically zero")
+
+
 def _soft_threshold(v: np.ndarray, k: float) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - k, 0.0)
 
@@ -140,68 +155,115 @@ def _exact_l1_column(
     return z, info
 
 
-def _lasso_admm_column(
-    gram: np.ndarray,
-    dty: np.ndarray,
-    y_sq: float,
-    mu: float,
-    config: SscConfig,
-    column: int,
-) -> tuple[np.ndarray, SscColumnInfo]:
-    """ADMM on min ||z||_1 + (alpha/mu)/2 ||y - Dz||^2, the fit-weighted form.
+def _lasso_admm(x: np.ndarray, config: SscConfig) -> tuple[np.ndarray, list[SscColumnInfo]]:
+    """ADMM on min ||z||_1 + (alpha/mu_j)/2 ||x_j - Xz||^2, z_j = 0, for every column j.
 
-    This is the equivalent of min lambda ||z||_1 + 1/2 ||y - Dz||^2 with
-    lambda = mu/alpha; weighting the fit term keeps rho = alpha well scaled.
+    This is the equivalent of min lambda_j ||z||_1 + 1/2 ||x_j - Xz||^2 with
+    lambda_j = mu_j/alpha; weighting the fit term keeps rho = alpha well scaled.
     Reported objectives use the lambda form so modes are comparable.
+
+    Each column runs its own iteration and stopping rule, but all columns
+    advance together as the columns of N x k matrices whose own-index entry
+    stays 0. Column j's z-update solves (w_j X_{-j}^T X_{-j} + rho I) z = b,
+    which by Woodbury is z = (b - w_j X^T M_j^{-1} X b) / rho with the r x r
+    M_j = rho I + w_j X_{-j} X_{-j}^T, r = min(p, N). In the frame of a thin
+    SVD, X~ = U^T X, M_j = diag(rho + w_j s^2) - w_j x~_j x~_j^T is a diagonal
+    minus a rank-1 term, so Sherman-Morrison applies every M_j^{-1} with matrix
+    products and no per-column factorization. A column that meets its
+    stopping rule is frozen and dropped; the rest go on.
     """
-    n = gram.shape[0]
-    lam = mu / config.alpha
-    w = config.alpha / mu
+    n_pts = x.shape[1]
+    n = n_pts - 1
+    gram = x.T @ x
+    off = np.abs(gram)
+    np.fill_diagonal(off, 0.0)
+    mu = off.max(axis=0)
+    z_full = np.zeros((n_pts, n_pts))
+    infos: list[SscColumnInfo | None] = [None] * n_pts
+    for j in np.flatnonzero(mu == 0):
+        infos[j] = SscColumnInfo(
+            column=int(j),
+            mode="lasso_admm",
+            converged=False,
+            iterations=0,
+            objective=0.0,
+            message="point is orthogonal to all others",
+        )
+
     rho = config.admm_rho if config.admm_rho is not None else config.alpha
-    chol = cho_factor(w * gram + rho * np.eye(n))
-    w_dty = w * dty
-    v = np.zeros(n)
-    u = np.zeros(n)
-    converged = False
-    it = 0
-    r_norm = s_norm = np.inf
-    history = []
+    _, sig, vt = np.linalg.svd(x, full_matrices=False)
+    xt = sig[:, None] * vt  # X~ = U^T X, r x N, with X~^T X~ = X^T X
+    # per active column: the global index and everything its iteration needs
+    cols = np.flatnonzero(mu > 0)
+    lam = mu[cols] / config.alpha
+    w = config.alpha / mu[cols]
+    y_sq = gram[cols, cols]
+    dty = gram[:, cols]
+    dty[cols, np.arange(cols.size)] = 0.0
+    xt_c = xt[:, cols]
+    dinv = 1.0 / (rho + np.outer(sig**2, w))
+    q = dinv * xt_c  # D_j^{-1} x~_j
+    denom = 1.0 - w * np.einsum("ij,ij->j", xt_c, q)
+    v = np.zeros((n_pts, cols.size))
+    u = np.zeros((n_pts, cols.size))
+    history = np.empty((0, cols.size))
+    rows = []
+    eps_abs = np.sqrt(n) * config.tol_abs
     for it in range(1, config.max_iter + 1):
-        z = cho_solve(chol, w_dty + rho * (v - u))
+        if cols.size == 0:
+            break
+        b = w * dty + rho * (v - u)
+        y = dinv * (xt @ b)
+        y += q * (w * np.einsum("ij,ij->j", xt_c, y) / denom)
+        z = (b - w * (xt.T @ y)) / rho
+        z[cols, np.arange(cols.size)] = 0.0
         v_old = v
         v = _soft_threshold(z + u, 1.0 / rho)
         u = u + z - v
-        r_norm = float(np.linalg.norm(z - v))
-        s_norm = float(rho * np.linalg.norm(v - v_old))
-        history.append(
-            float(lam * np.abs(v).sum() + 0.5 * (v @ (gram @ v)) - dty @ v + 0.5 * y_sq)
+        r_norm = np.linalg.norm(z - v, axis=0)
+        s_norm = rho * np.linalg.norm(v - v_old, axis=0)
+        xv = xt @ v
+        obj = lam * np.abs(v).sum(axis=0) + 0.5 * (xv * xv).sum(axis=0)
+        obj += 0.5 * y_sq - (dty * v).sum(axis=0)
+        rows.append(obj)
+        eps_pri = eps_abs + config.tol_rel * np.maximum(
+            np.linalg.norm(z, axis=0), np.linalg.norm(v, axis=0)
         )
-        eps_pri = np.sqrt(n) * config.tol_abs + config.tol_rel * max(
-            np.linalg.norm(z), np.linalg.norm(v)
+        eps_dual = eps_abs + config.tol_rel * np.linalg.norm(rho * u, axis=0)
+        done = (r_norm <= eps_pri) & (s_norm <= eps_dual)
+        stop = done if it < config.max_iter else np.ones(cols.size, dtype=bool)
+        if not stop.any():
+            continue
+        history = np.vstack([history, *rows])
+        rows = []
+        idx = np.flatnonzero(stop)
+        # lasso stationarity at v: D^T(y - Dv) must lie in lam * subgradient(|v|_1)
+        g = dty[:, idx] - xt.T @ xv[:, idx]
+        g[cols[idx], np.arange(idx.size)] = 0.0
+        v_s = v[:, idx]
+        kkt = np.maximum(np.abs(g).max(axis=0) / lam[idx] - 1.0, 0.0)
+        kkt = np.maximum(
+            kkt, np.where(v_s != 0, np.abs(g / lam[idx] - np.sign(v_s)), 0.0).max(axis=0)
         )
-        eps_dual = np.sqrt(n) * config.tol_abs + config.tol_rel * np.linalg.norm(rho * u)
-        if r_norm <= eps_pri and s_norm <= eps_dual:
-            converged = True
-            break
-    # lasso stationarity at v: D^T(y - Dv) must lie in lam * subgradient(|v|_1)
-    g = dty - gram @ v
-    kkt = max(float(np.max(np.abs(g))) / lam - 1.0, 0.0)
-    support = v != 0
-    if np.any(support):
-        kkt = max(kkt, float(np.max(np.abs(g[support] / lam - np.sign(v[support])))))
-    info = SscColumnInfo(
-        column=column,
-        mode="lasso_admm",
-        converged=converged,
-        iterations=it,
-        objective=history[-1],
-        primal_residual=r_norm,
-        dual_residual=s_norm,
-        kkt_residual=kkt,
-        objective_history=history,
-        message="" if converged else "max_iter reached",
-    )
-    return v, info
+        z_full[:, cols[idx]] = v_s
+        for t, i in enumerate(idx):
+            infos[cols[i]] = SscColumnInfo(
+                column=int(cols[i]),
+                mode="lasso_admm",
+                converged=bool(done[i]),
+                iterations=it,
+                objective=float(obj[i]),
+                primal_residual=float(r_norm[i]),
+                dual_residual=float(s_norm[i]),
+                kkt_residual=float(kkt[t]),
+                objective_history=history[:, i].tolist(),
+                message="" if done[i] else "max_iter reached",
+            )
+        keep = ~stop
+        cols, lam, w, y_sq, denom = cols[keep], lam[keep], w[keep], y_sq[keep], denom[keep]
+        dty, xt_c, dinv, q = dty[:, keep], xt_c[:, keep], dinv[:, keep], q[:, keep]
+        v, u, history = v[:, keep], u[:, keep], history[:, keep]
+    return z_full, infos
 
 
 def ssc_coefficients(
@@ -223,41 +285,18 @@ def ssc_coefficients(
     n_pts = x.shape[1]
     if n_pts < 2:
         raise ValueError("self-representation needs at least two points")
-    norms = np.linalg.norm(x, axis=0)
-    if np.any(norms == 0):
-        bad = int(np.flatnonzero(norms == 0)[0])
-        raise ValueError(f"column {bad} is identically zero")
+    check_columns(x)
 
-    z_full = np.zeros((n_pts, n_pts))
-    infos: list[SscColumnInfo] = []
-    gram_full = x.T @ x if config.mode == "lasso_admm" else None
-    for j in range(n_pts):
-        others = np.concatenate([np.arange(j), np.arange(j + 1, n_pts)])
-        if config.mode == "exact_l1":
+    if config.mode == "lasso_admm":
+        z_full, infos = _lasso_admm(x, config)
+    else:
+        z_full = np.zeros((n_pts, n_pts))
+        infos = []
+        for j in range(n_pts):
+            others = np.concatenate([np.arange(j), np.arange(j + 1, n_pts)])
             coef, info = _exact_l1_column(x[:, others], x[:, j], j, config.tol_abs)
-        else:
-            mu = float(np.max(np.abs(gram_full[others, j])))
-            if mu == 0:
-                coef = np.zeros(n_pts - 1)
-                info = SscColumnInfo(
-                    column=j,
-                    mode="lasso_admm",
-                    converged=False,
-                    iterations=0,
-                    objective=0.0,
-                    message="point is orthogonal to all others",
-                )
-            else:
-                coef, info = _lasso_admm_column(
-                    gram_full[np.ix_(others, others)],
-                    gram_full[others, j],
-                    float(gram_full[j, j]),
-                    mu,
-                    config,
-                    j,
-                )
-        z_full[others, j] = coef
-        infos.append(info)
+            z_full[others, j] = coef
+            infos.append(info)
 
     bad = [i.column for i in infos if not i.converged]
     if bad:

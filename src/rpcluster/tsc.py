@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ssc import Adjacency
+from .ssc import Adjacency, check_columns
 
 
 @dataclass(frozen=True)
@@ -68,10 +68,8 @@ def tsc_adjacency(data, config: TscConfig | None = None) -> Adjacency:
         config = TscConfig()
     x = np.asarray(getattr(data, "points", data), dtype=float)
     n_pts = x.shape[1]
+    check_columns(x)
     norms = np.linalg.norm(x, axis=0)
-    if np.any(norms == 0):
-        bad = int(np.flatnonzero(norms == 0)[0])
-        raise ValueError(f"column {bad} is identically zero")
     neighbors = tsc_neighbors(data, config)
     cosines = np.clip(np.abs(x.T @ x) / np.outer(norms, norms), 0.0, 1.0)
     weights = np.exp(-2.0 * np.arccos(cosines))

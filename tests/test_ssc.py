@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from rpcluster import (
     Adjacency,
@@ -10,13 +11,13 @@ from rpcluster import (
     UnionModel,
     adjacency_from_coefficients,
     generate,
+    make_projector,
+    project_columns,
     random_orthonormal_basis,
     ssc_adjacency,
     ssc_coefficients,
     write_diagnostics_csv,
 )
-
-cvxpy = pytest.importorskip("cvxpy")
 
 EXACT = SscConfig(mode="exact_l1")
 # iterated far past the default stopping rule so the lasso KKT error is tiny
@@ -25,6 +26,8 @@ TIGHT_ADMM = SscConfig(mode="lasso_admm", admm_rho=2.0, max_iter=5000, tol_abs=1
 
 def l1_oracle(dictionary, target):
     """min ||z||_1 s.t. dictionary @ z = target, via cvxpy (not linprog)."""
+    import cvxpy
+
     z = cvxpy.Variable(dictionary.shape[1])
     prob = cvxpy.Problem(
         cvxpy.Minimize(cvxpy.norm1(z)), [dictionary @ z == target]
@@ -40,12 +43,60 @@ def l1_oracle(dictionary, target):
 
 
 def lasso_oracle(dictionary, target, lam):
+    import cvxpy
+
     z = cvxpy.Variable(dictionary.shape[1])
     obj = lam * cvxpy.norm1(z) + 0.5 * cvxpy.sum_squares(target - dictionary @ z)
     prob = cvxpy.Problem(cvxpy.Minimize(obj))
     prob.solve(solver="CLARABEL")
     assert prob.status == "optimal"
     return np.asarray(z.value).ravel(), prob.value
+
+
+def reference_lasso_admm(x, config):
+    """Per-column ADMM with one Cholesky factor of w G_{-j} + rho I per column.
+
+    The same iteration and stopping rule as the library's batched solver,
+    written the direct way: each column solves its own (N-1) x (N-1) system.
+    Returns Z and per-column (iterations, converged, objective history).
+    """
+    n_pts = x.shape[1]
+    gram = x.T @ x
+    rho = config.admm_rho if config.admm_rho is not None else config.alpha
+    z_full = np.zeros((n_pts, n_pts))
+    runs = []
+    for j in range(n_pts):
+        others = np.delete(np.arange(n_pts), j)
+        g, dty, y_sq = gram[np.ix_(others, others)], gram[others, j], gram[j, j]
+        mu = np.max(np.abs(dty))
+        if mu == 0:
+            runs.append((0, False, []))
+            continue
+        lam, w, n = mu / config.alpha, config.alpha / mu, n_pts - 1
+        chol = cho_factor(w * g + rho * np.eye(n))
+        v = np.zeros(n)
+        u = np.zeros(n)
+        history = []
+        converged = False
+        for it in range(1, config.max_iter + 1):
+            z = cho_solve(chol, w * dty + rho * (v - u))
+            v_old = v
+            v = np.sign(z + u) * np.maximum(np.abs(z + u) - 1.0 / rho, 0.0)
+            u = u + z - v
+            history.append(lam * np.abs(v).sum() + 0.5 * v @ g @ v - dty @ v + 0.5 * y_sq)
+            eps_pri = np.sqrt(n) * config.tol_abs + config.tol_rel * max(
+                np.linalg.norm(z), np.linalg.norm(v)
+            )
+            eps_dual = np.sqrt(n) * config.tol_abs + config.tol_rel * np.linalg.norm(rho * u)
+            if (
+                np.linalg.norm(z - v) <= eps_pri
+                and rho * np.linalg.norm(v - v_old) <= eps_dual
+            ):
+                converged = True
+                break
+        z_full[others, j] = v
+        runs.append((it, converged, history))
+    return z_full, runs
 
 
 def subspace_data(m, d, counts, seed, n_bases=None):
@@ -71,6 +122,7 @@ def test_duplicate_point_is_its_own_representation():
 
 
 def test_exact_objective_matches_lp_oracle():
+    pytest.importorskip("cvxpy")
     data = subspace_data(6, 2, (6, 6), seed=0)
     z, infos = ssc_coefficients(data.points, EXACT, return_info=True)
     for j in (0, 3, 7, 11):
@@ -127,6 +179,7 @@ def test_adjacency_from_strict_upper_triangle():
 
 
 def test_admm_matches_lasso_oracle():
+    pytest.importorskip("cvxpy")
     data = subspace_data(6, 2, (5, 5), seed=7)
     x = data.points
     z, infos = ssc_coefficients(x, TIGHT_ADMM, return_info=True)
@@ -183,6 +236,67 @@ def test_default_admm_recovers_block_structure():
     cross = adj.weights[:10, 10:]
     within = adj.weights[:10, :10]
     assert within.sum() > 20 * cross.sum()
+
+
+def projected_points():
+    # p = 8 < N = 30
+    data = subspace_data(50, 3, (10, 10, 10), seed=41)
+    return project_columns(make_projector("gaussian", 50, 8, seed=41), data.points)
+
+
+def wide_points():
+    # unprojected, p = m = 40 > N = 12
+    return subspace_data(40, 3, (6, 6), seed=43).points
+
+
+def points_with_orthogonal_one():
+    # the last point is orthogonal to all others, so its mu is 0
+    x = subspace_data(9, 2, (6, 6), seed=47).points
+    x = np.vstack([x, np.zeros((1, x.shape[1]))])
+    return np.hstack([x, np.eye(10)[:, 9:]])
+
+
+@pytest.mark.parametrize("config", [SscConfig(), TIGHT_ADMM], ids=["default", "tight"])
+@pytest.mark.parametrize(
+    "points", [projected_points, wide_points, points_with_orthogonal_one],
+    ids=["p_below_n", "p_above_n", "orthogonal_point"],
+)
+def test_batched_admm_matches_per_column_reference(points, config):
+    x = points()
+    ref_z, runs = reference_lasso_admm(x, config)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        z, infos = ssc_coefficients(x, config, return_info=True)
+    assert np.max(np.abs(z - ref_z)) <= 1e-10
+    assert np.all(np.diag(z) == 0.0)
+    for info, (iterations, converged, history) in zip(infos, runs):
+        assert info.iterations == iterations
+        assert info.converged == converged
+        assert len(info.objective_history or []) == len(history)
+        if history:
+            assert np.allclose(info.objective_history, history, rtol=1e-9, atol=1e-12)
+            assert info.objective == info.objective_history[-1]
+
+
+def test_orthogonal_point_is_reported_and_left_out():
+    x = points_with_orthogonal_one()
+    j = x.shape[1] - 1
+    with pytest.warns(RuntimeWarning):
+        z, infos = ssc_coefficients(x, return_info=True)
+    assert np.all(z[:, j] == 0.0) and np.all(z[j, :] == 0.0)
+    assert infos[j].iterations == 0 and not infos[j].converged
+    assert infos[j].message == "point is orthogonal to all others"
+    assert all(info.iterations > 0 for info in infos[:j])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("mode", ["lasso_admm", "exact_l1"])
+def test_non_finite_column_raises_with_index(bad, mode):
+    x = np.random.default_rng(3).standard_normal((5, 6))
+    x[2, 3] = bad
+    x[4, 5] = bad
+    with pytest.raises(ValueError, match="column 3 has a non-finite entry"):
+        ssc_coefficients(x, SscConfig(mode=mode))
 
 
 def test_zero_column_raises_with_index():

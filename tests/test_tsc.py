@@ -159,3 +159,12 @@ def test_zero_column_rejected():
     x[:, 1] = 0.0
     with pytest.raises(ValueError, match="column 1"):
         tsc_adjacency(x, TscConfig(q=1))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_column_rejected(bad):
+    x = np.random.default_rng(5).standard_normal((4, 6))
+    x[1, 2] = bad
+    x[0, 4] = bad
+    with pytest.raises(ValueError, match="column 2 has a non-finite entry"):
+        tsc_adjacency(x, TscConfig(q=2))
