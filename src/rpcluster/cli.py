@@ -20,9 +20,9 @@ import numpy as np
 
 from . import io as dataio
 from .metrics import TheoremReport, clustering_error, false_connections, theorem_report
-from .project import KINDS, ProjectorCalibration, make_projector, project_columns
-from .spectral import spectral_cluster
-from .ssc import SSC_MODES, SscConfig, ssc_adjacency
+from .project import KINDS, ProjectorCalibration, apply, make_projector
+from .spectral import ClusteringResult, spectral_cluster
+from .ssc import SSC_MODES, Adjacency, SscConfig, check_columns, ssc_adjacency
 from .synth import (
     DataSet,
     UnionModel,
@@ -34,7 +34,6 @@ from .synth import (
 from .tsc import TscConfig, tsc_adjacency
 
 ALGORITHMS = ("ssc", "tsc")
-KIND_CODES = {"gaussian": 1, "fourier_sign": 2, "hadamard_sign": 3}
 
 SWEEP_FIELDS = [
     "p",
@@ -94,8 +93,7 @@ class ExperimentConfig:
             raise ValueError("no projector kinds given")
         if self.repetitions < 1:
             raise ValueError("repetitions must be at least 1")
-        if self.ssc_mode not in SSC_MODES:
-            raise ValueError(f"unknown ssc mode {self.ssc_mode!r}")
+        self._ssc = _ssc_config(self)  # built once, so bad SSC settings fail here
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "ExperimentConfig":
@@ -106,12 +104,20 @@ class ExperimentConfig:
         return cls(**mapping)
 
     def ssc_config(self) -> SscConfig:
-        return SscConfig(
-            mode=self.ssc_mode,
-            alpha=self.alpha,
-            admm_rho=self.admm_rho,
-            max_iter=self.max_iter,
-        )
+        return self._ssc
+
+
+def _ssc_config(settings) -> SscConfig:
+    """SscConfig from an ExperimentConfig or a parsed ``cluster`` command line.
+
+    Both carry the SSC settings under the same four names.
+    """
+    return SscConfig(
+        mode=settings.ssc_mode,
+        alpha=settings.alpha,
+        admm_rho=settings.admm_rho,
+        max_iter=settings.max_iter,
+    )
 
 
 def _subseed(*parts) -> int:
@@ -138,10 +144,46 @@ def build_model(m: int, dims, counts, t: int | None, seed: int) -> UnionModel:
     return UnionModel(tuple(bases), tuple(counts), seed=seed)
 
 
-def _adjacency_for(algorithm: str, data: DataSet, ssc_cfg: SscConfig, q: int):
+def _project(data: DataSet, kind: str, p: int, seed: int) -> tuple[DataSet, float]:
+    """The data projected to p dimensions (unchanged for p <= 0) and the time in ms.
+
+    The time covers drawing the projector and applying it.
+    """
+    if p <= 0:
+        return data, 0.0
+    t0 = time.perf_counter()
+    projected = apply(make_projector(kind, data.dim, p, seed), data)
+    return projected, (time.perf_counter() - t0) * 1e3
+
+
+def _cluster_and_score(
+    algorithm: str, data: DataSet, ssc: SscConfig, q: int,
+    n_clusters: int | None, seed: int, l_max: int,
+) -> tuple[dict, ClusteringResult, Adjacency]:
+    """Build the graph, cluster it, and score it when the data carry labels.
+
+    Returns the sweep-row fields it measured, the clustering and the graph.
+    """
+    t0 = time.perf_counter()
     if algorithm == "ssc":
-        return ssc_adjacency(data, ssc_cfg)
-    return tsc_adjacency(data, TscConfig(q=q))
+        adj = ssc_adjacency(data, ssc)
+    else:
+        adj = tsc_adjacency(data, TscConfig(q=q))
+    t1 = time.perf_counter()
+    result = spectral_cluster(adj, n_clusters, seed=seed, l_max=l_max)
+    t2 = time.perf_counter()
+    fields = {
+        "ce": None,
+        "false_connections": None,
+        "L_hat": result.n_clusters,
+        "time_adjacency_ms": (t1 - t0) * 1e3,
+        "time_spectral_ms": (t2 - t1) * 1e3,
+        "error": "",
+    }
+    if data.labels is not None:
+        fields["ce"] = clustering_error(result.labels, data.labels)
+        fields["false_connections"] = false_connections(adj, data.labels).count
+    return fields, result, adj
 
 
 def _format_value(v) -> str:
@@ -172,30 +214,18 @@ def run_sweep(config: ExperimentConfig) -> list:
     for p in config.p_values:
         for kind in config.kinds:
             for rep in range(config.repetitions):
-                cell_seed = _subseed(config.seed, rep, p, KIND_CODES[kind])
+                cell_seed = _subseed(config.seed, rep, p, KINDS.index(kind) + 1)
                 streams = np.random.SeedSequence(cell_seed).generate_state(
                     3, dtype=np.uint64
                 )
-                base = {
-                    "p": p,
-                    "projection": kind,
-                    "seed": cell_seed,
-                }
+                base = {"p": p, "projection": kind, "seed": cell_seed}
                 try:
                     model = build_model(
                         config.m, config.dims, config.counts, config.t, int(streams[0])
                     )
-                    data = generate(model)
-                    t0 = time.perf_counter()
-                    if p > 0:
-                        proj = make_projector(kind, config.m, p, int(streams[1]))
-                        working = DataSet(
-                            project_columns(proj, data.points), data.labels
-                        )
-                        time_project = (time.perf_counter() - t0) * 1e3
-                    else:
-                        working = data
-                        time_project = 0.0
+                    working, time_project = _project(
+                        generate(model), kind, p, int(streams[1])
+                    )
                 except Exception as exc:  # record and move on
                     for alg in config.algorithms:
                         rows.append(dict(base, algorithm=alg, error=str(exc)))
@@ -203,30 +233,15 @@ def run_sweep(config: ExperimentConfig) -> list:
                 for alg in config.algorithms:
                     row = dict(base, algorithm=alg)
                     try:
-                        t1 = time.perf_counter()
-                        adj = _adjacency_for(alg, working, config.ssc_config(), config.q)
-                        t2 = time.perf_counter()
-                        result = spectral_cluster(
-                            adj, None, seed=int(streams[2]), l_max=config.l_max
+                        fields, _, _ = _cluster_and_score(
+                            alg, working, config.ssc_config(), config.q,
+                            None, int(streams[2]), config.l_max,
                         )
-                        t3 = time.perf_counter()
-                        row.update(
-                            ce=clustering_error(result.labels, data.labels),
-                            false_connections=false_connections(
-                                adj, data.labels
-                            ).count,
-                            L_hat=result.n_clusters,
-                            time_project_ms=time_project,
-                            time_adjacency_ms=(t2 - t1) * 1e3,
-                            time_spectral_ms=(t3 - t2) * 1e3,
-                            error="",
-                        )
+                        row.update(fields, time_project_ms=time_project)
                     except Exception as exc:
                         row["error"] = str(exc)
                     rows.append(row)
-    rows.sort(
-        key=lambda r: (r["p"], r["algorithm"], r["projection"], r["seed"])
-    )
+    rows.sort(key=lambda r: (r["p"], r["algorithm"], r["projection"], r["seed"]))
     return rows
 
 
@@ -321,57 +336,32 @@ def cmd_gen(args) -> int:
 
 
 def cmd_cluster(args) -> int:
+    ssc = _ssc_config(args)
     data = dataio.read_dataset(args.data, args.labels)
     if args.p > 0:
         if args.projection == "none":
             raise ValueError("p > 0 needs a projection kind")
         if args.p > data.dim:
             raise ValueError(f"p={args.p} exceeds the data dimension {data.dim}")
-        proj = make_projector(args.projection, data.dim, args.p, args.proj_seed)
-        t0 = time.perf_counter()
-        working = DataSet(project_columns(proj, data.points), data.labels)
-        time_project = (time.perf_counter() - t0) * 1e3
-        projection = args.projection
-    else:
-        working = data
-        time_project = 0.0
-        projection = "none"
-
-    ssc_cfg = SscConfig(
-        mode=args.ssc_mode,
-        alpha=args.alpha,
-        admm_rho=args.admm_rho,
-        max_iter=args.max_iter,
+    working, time_project = _project(data, args.projection, args.p, args.proj_seed)
+    fields, result, adj = _cluster_and_score(
+        args.algorithm, working, ssc, args.q,
+        args.clusters, args.kmeans_seed, args.l_max,
     )
-    t1 = time.perf_counter()
-    adj = _adjacency_for(args.algorithm, working, ssc_cfg, args.q)
-    t2 = time.perf_counter()
-    result = spectral_cluster(
-        adj, args.clusters, seed=args.kmeans_seed, l_max=args.l_max
-    )
-    t3 = time.perf_counter()
-
     dataio.write_labels_csv(args.out_labels, result.labels)
-    row = {
-        "p": args.p,
-        "algorithm": args.algorithm,
-        "projection": projection,
-        "seed": args.proj_seed,
-        "ce": None,
-        "false_connections": None,
-        "L_hat": result.n_clusters,
-        "time_project_ms": time_project,
-        "time_adjacency_ms": (t2 - t1) * 1e3,
-        "time_spectral_ms": (t3 - t2) * 1e3,
-        "error": "",
-    }
     print(f"L_hat={result.n_clusters}")
     if data.labels is not None:
-        row["ce"] = clustering_error(result.labels, data.labels)
-        row["false_connections"] = false_connections(adj, data.labels).count
-        print(f"ce={row['ce']:.6f}")
-        print(f"false_connections={row['false_connections']}")
+        print(f"ce={fields['ce']:.6f}")
+        print(f"false_connections={fields['false_connections']}")
     if args.timing_csv:
+        row = dict(
+            fields,
+            p=args.p,
+            algorithm=args.algorithm,
+            projection=args.projection if args.p > 0 else "none",
+            seed=args.proj_seed,
+            time_project_ms=time_project,
+        )
         _write_rows(args.timing_csv, SWEEP_FIELDS, [row])
     if args.adjacency_csv:
         dataio.write_adjacency_csv(args.adjacency_csv, adj)
@@ -387,26 +377,9 @@ def cmd_sweep(args) -> int:
         if not isinstance(settings, dict):
             raise ValueError("config file must hold a JSON object")
     overrides = {
-        name: getattr(args, name)
-        for name in (
-            "m",
-            "dims",
-            "counts",
-            "t",
-            "seed",
-            "kinds",
-            "p_values",
-            "algorithms",
-            "q",
-            "ssc_mode",
-            "alpha",
-            "admm_rho",
-            "max_iter",
-            "repetitions",
-            "l_max",
-            "out",
-        )
-        if getattr(args, name) is not None
+        f.name: getattr(args, f.name)
+        for f in dataclass_fields(ExperimentConfig)
+        if getattr(args, f.name) is not None
     }
     settings.update(overrides)
     config = ExperimentConfig.from_mapping(settings)
@@ -426,7 +399,7 @@ def cmd_check(args) -> int:
     for p in args.p_values:
         if p > 0:
             proj = make_projector(
-                args.kind, args.m, p, _subseed(args.seed, p, KIND_CODES[args.kind])
+                args.kind, args.m, p, _subseed(args.seed, p, KINDS.index(args.kind) + 1)
             )
             projection = args.kind
         else:
@@ -451,11 +424,8 @@ def cmd_ingest(args) -> int:
     data = dataio.read_dataset(args.data, args.labels)
     points = data.points
     if args.renormalize:
-        norms = np.linalg.norm(points, axis=0)
-        if np.any(norms == 0):
-            bad = int(np.flatnonzero(norms == 0)[0])
-            raise ValueError(f"column {bad} is identically zero, cannot renormalize")
-        points = points / norms
+        check_columns(points)
+        points = points / np.linalg.norm(points, axis=0)
     print(f"N={points.shape[1]} D={points.shape[0]}")
     if data.labels is not None:
         values, counts = np.unique(data.labels, return_counts=True)

@@ -7,6 +7,7 @@ significant digits, which round-trips float64 exactly.
 from __future__ import annotations
 
 import csv
+import math
 
 import numpy as np
 
@@ -32,7 +33,11 @@ def write_points_csv(path, points: np.ndarray) -> None:
 
 
 def read_points_csv(path) -> np.ndarray:
-    """Read points back into a D x N array (one CSV row per point)."""
+    """Read points back into a D x N array (one CSV row per point).
+
+    A cell that is not a finite number (text, nan, inf) is a ParseError
+    naming its row and column.
+    """
     rows = []
     with open(path, newline="") as fh:
         for i, row in enumerate(csv.reader(fh), start=1):
@@ -41,11 +46,14 @@ def read_points_csv(path) -> np.ndarray:
             parsed = []
             for j, cell in enumerate(row, start=1):
                 try:
-                    parsed.append(float(cell))
+                    value = float(cell)
                 except ValueError:
+                    value = math.nan
+                if not math.isfinite(value):
                     raise ParseError(
-                        f"row {i}, column {j}: {cell!r} is not a number"
-                    ) from None
+                        f"row {i}, column {j}: {cell!r} is not a finite number"
+                    )
+                parsed.append(value)
             if rows and len(parsed) != len(rows[0]):
                 raise ParseError(
                     f"row {i}: expected {len(rows[0])} values, got {len(parsed)}"
@@ -76,7 +84,7 @@ def read_labels_csv(path) -> np.ndarray:
                 raise ParseError(f"row {i}: expected a single label, got {len(row)}")
             try:
                 out.append(int(float(row[0])))
-            except ValueError:
+            except (ValueError, OverflowError):
                 raise ParseError(
                     f"row {i}, column 1: {row[0]!r} is not an integer label"
                 ) from None

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csgraph
 
 from .ssc import Adjacency
 
@@ -23,7 +24,8 @@ def normalized_laplacian(adj: Adjacency) -> np.ndarray:
     """Symmetric normalized Laplacian I - D^{-1/2} W D^{-1/2}.
 
     Isolated vertices (zero degree) keep an identity row/column, i.e. they
-    contribute an eigenvalue of exactly 1.
+    contribute an eigenvalue of exactly 1. The result is exactly symmetric,
+    since W is and inv_sqrt[i] * inv_sqrt[j] commutes.
     """
     w = adj.weights
     deg = w.sum(axis=1)
@@ -37,8 +39,16 @@ def normalized_laplacian(adj: Adjacency) -> np.ndarray:
 
 def laplacian_eigenvalues(adj: Adjacency) -> np.ndarray:
     """All eigenvalues of the normalized Laplacian, ascending."""
-    lap = normalized_laplacian(adj)
-    return np.linalg.eigvalsh((lap + lap.T) / 2.0)
+    return np.linalg.eigvalsh(normalized_laplacian(adj))
+
+
+def _largest_gap(vals: np.ndarray, l_max: int) -> int:
+    """1 + argmax of the first l_max gaps of ascending vals; 1 when there is no gap."""
+    top = min(l_max, vals.shape[0] - 1)
+    if top < 1:
+        return 1
+    gaps = vals[1 : top + 1] - vals[:top]
+    return int(np.argmax(gaps)) + 1
 
 
 def eigengap_estimate(adj: Adjacency, l_max: int = 10) -> int:
@@ -48,13 +58,7 @@ def eigengap_estimate(adj: Adjacency, l_max: int = 10) -> int:
     """
     if l_max < 1:
         raise ValueError("l_max must be at least 1")
-    vals = laplacian_eigenvalues(adj)
-    n = vals.shape[0]
-    if n < 2:
-        return 1
-    top = min(l_max, n - 1)
-    gaps = vals[1 : top + 1] - vals[:top]
-    return int(np.argmax(gaps)) + 1
+    return _largest_gap(laplacian_eigenvalues(adj), l_max)
 
 
 def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -140,15 +144,9 @@ def spectral_cluster(
     over the first l_max gaps. Embedding rows are unit-normalized, except
     all-zero rows, which are left at zero.
     """
-    lap = normalized_laplacian(adj)
-    vals, vecs = np.linalg.eigh((lap + lap.T) / 2.0)
+    vals, vecs = np.linalg.eigh(normalized_laplacian(adj))
     if n_clusters is None:
-        top = min(l_max, adj.n - 1)
-        if top < 1:
-            n_clusters = 1
-        else:
-            gaps = vals[1 : top + 1] - vals[:top]
-            n_clusters = int(np.argmax(gaps)) + 1
+        n_clusters = _largest_gap(vals, l_max)
     if not 1 <= n_clusters <= adj.n:
         raise ValueError(f"cluster count {n_clusters} is out of range")
     embedding = vecs[:, :n_clusters].copy()
@@ -174,20 +172,4 @@ def spectral_cluster(
 
 def connected_components(adj: Adjacency) -> np.ndarray:
     """Component label per vertex; components numbered by smallest member index."""
-    w = adj.weights
-    n = adj.n
-    labels = np.full(n, -1)
-    current = 0
-    for start in range(n):
-        if labels[start] != -1:
-            continue
-        stack = [start]
-        labels[start] = current
-        while stack:
-            v = stack.pop()
-            for u in np.flatnonzero(w[v] > 0):
-                if labels[u] == -1:
-                    labels[u] = current
-                    stack.append(u)
-        current += 1
-    return labels
+    return csgraph.connected_components(adj.weights, directed=False)[1].astype(int)

@@ -30,32 +30,38 @@ class TscConfig:
             raise ValueError("q must be at least 1")
 
 
-def tsc_neighbors(data, config: TscConfig | None = None) -> np.ndarray:
-    """Index sets S_j of the q largest scores, one row per point.
+def _select(data, config: TscConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Checked |X^T X|, the column norms, and the (N, q) selected neighbors.
 
-    Ties are broken toward the smaller index; a point is never its own
-    neighbor. Returns an (N, q) integer array.
+    Row j ranks the other points by score, descending, with a stable sort so
+    that ties go to the smaller index.
     """
-    if config is None:
-        config = TscConfig()
     x = np.asarray(getattr(data, "points", data), dtype=float)
     if x.ndim != 2:
         raise ValueError("data must be a 2-d array of column points")
+    check_columns(x)
     n_pts = x.shape[1]
     if config.q > n_pts - 1:
         raise ValueError(
             f"q={config.q} needs at least q+1 points, got {n_pts}"
         )
-    scores = np.abs(x.T @ x)
-    if config.normalize_selection:
-        norms = np.linalg.norm(x, axis=0)
-        if np.any(norms == 0):
-            raise ValueError("normalized selection needs nonzero columns")
-        scores = scores / np.outer(norms, norms)
-    np.fill_diagonal(scores, -np.inf)
-    # stable sort on (-score, index): descending score, ties toward lower index
-    order = np.argsort(-scores, axis=1, kind="stable")
-    return order[:, : config.q]
+    gram = np.abs(x.T @ x)
+    norms = np.linalg.norm(x, axis=0)
+    scores = gram / np.outer(norms, norms) if config.normalize_selection else gram
+    ranking = -scores
+    np.fill_diagonal(ranking, np.inf)  # a point is never its own neighbor
+    order = np.argsort(ranking, axis=1, kind="stable")
+    return gram, norms, order[:, : config.q]
+
+
+def tsc_neighbors(data, config: TscConfig | None = None) -> np.ndarray:
+    """Index sets S_j of the q largest scores, one row per point.
+
+    Ties are broken toward the smaller index; a point is never its own
+    neighbor. A point with a NaN/inf entry or a zero norm is rejected.
+    Returns an (N, q) integer array.
+    """
+    return _select(data, config or TscConfig())[2]
 
 
 def tsc_adjacency(data, config: TscConfig | None = None) -> Adjacency:
@@ -64,17 +70,10 @@ def tsc_adjacency(data, config: TscConfig | None = None) -> Adjacency:
     The weight on a selected edge (j, i) is exp(-2 * arccos(c_ji)) with
     c_ji = |<x_j, x_i>| / (||x_j|| ||x_i||), clamped into [0, 1].
     """
-    if config is None:
-        config = TscConfig()
-    x = np.asarray(getattr(data, "points", data), dtype=float)
-    n_pts = x.shape[1]
-    check_columns(x)
-    norms = np.linalg.norm(x, axis=0)
-    neighbors = tsc_neighbors(data, config)
-    cosines = np.clip(np.abs(x.T @ x) / np.outer(norms, norms), 0.0, 1.0)
-    weights = np.exp(-2.0 * np.arccos(cosines))
-    mask = np.zeros((n_pts, n_pts), dtype=bool)
-    rows = np.repeat(np.arange(n_pts), config.q)
-    mask[rows, neighbors.ravel()] = True
-    z = np.where(mask, weights, 0.0).T  # column j carries the weights of S_j
+    gram, norms, neighbors = _select(data, config or TscConfig())
+    rows = np.repeat(np.arange(neighbors.shape[0]), neighbors.shape[1])
+    cols = neighbors.ravel()
+    cosines = np.clip(gram[rows, cols] / (norms[rows] * norms[cols]), 0.0, 1.0)
+    z = np.zeros_like(gram)
+    z[cols, rows] = np.exp(-2.0 * np.arccos(cosines))  # column j carries S_j
     return Adjacency(z + z.T)

@@ -164,6 +164,21 @@ def test_cluster_rejects_p_without_kind(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cluster_rejects_infinite_label(tmp_path, capsys):
+    data, labels = run_gen(tmp_path, seed=6)
+    lines = labels.read_text().splitlines()
+    lines[4] = "inf"
+    labels.write_text("\n".join(lines) + "\n")
+    code = main([
+        "cluster", "--data", str(data), "--labels", str(labels),
+        "--algorithm", "tsc", "--out-labels", str(tmp_path / "x.csv"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "row 5" in err
+
+
 def test_cluster_missing_file(tmp_path, capsys):
     code = main([
         "cluster", "--data", str(tmp_path / "nope.csv"), "--algorithm", "tsc",
@@ -376,3 +391,68 @@ def test_ingest_ragged_row_fails(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "row 2" in err
+
+
+# Recorded before the cluster and sweep commands shared one pipeline; the
+# seeds pin the cell-seed derivation (master seed, repetition, p, kind code).
+PINNED_SWEEP_ROWS = [
+    (0, "ssc", "fourier_sign", 10130072436621640509, 0.75, 0, 10),
+    (0, "ssc", "gaussian", 3786653025246517810, 0.8, 0, 10),
+    (0, "ssc", "hadamard_sign", 6332631265567319456, 0.75, 0, 10),
+    (0, "tsc", "fourier_sign", 10130072436621640509, 0.6, 0, 6),
+    (0, "tsc", "gaussian", 3786653025246517810, 0.65, 0, 7),
+    (0, "tsc", "hadamard_sign", 6332631265567319456, 0.6, 0, 6),
+    (8, "ssc", "fourier_sign", 886369040772539732, 0.6, 0, 6),
+    (8, "ssc", "gaussian", 11719112351670797992, 0.7, 0, 8),
+    (8, "ssc", "hadamard_sign", 9574799564544175848, 0.65, 1, 7),
+    (8, "tsc", "fourier_sign", 886369040772539732, 0.6, 2, 6),
+    (8, "tsc", "gaussian", 11719112351670797992, 0.55, 0, 6),
+    (8, "tsc", "hadamard_sign", 9574799564544175848, 0.55, 0, 6),
+]
+
+
+def test_sweep_pinned_rows(tmp_path):
+    config = sweep_config(
+        tmp_path,
+        seed=3,
+        kinds=["gaussian", "fourier_sign", "hadamard_sign"],
+        p_values=[0, 8],
+    )
+    rows = run_sweep(config)
+    got = [
+        (r["p"], r["algorithm"], r["projection"], r["seed"], r["ce"],
+         r["false_connections"], r["L_hat"])
+        for r in rows
+    ]
+    assert got == PINNED_SWEEP_ROWS
+    assert all(r["error"] == "" for r in rows)
+
+
+def test_cluster_pinned_timing_row(tmp_path):
+    data, labels = run_gen(tmp_path, m=40, dims="3,3", counts="25,25", seed=4)
+    timing = tmp_path / "timing.csv"
+    code = main([
+        "cluster",
+        "--data", str(data),
+        "--labels", str(labels),
+        "--algorithm", "ssc",
+        "--projection", "hadamard_sign",
+        "--p", "6",
+        "--proj-seed", "7",
+        "--out-labels", str(tmp_path / "pred.csv"),
+        "--timing-csv", str(timing),
+    ])
+    assert code == 0
+    row = read_rows(timing)[0]
+    for key in ("time_project_ms", "time_adjacency_ms", "time_spectral_ms"):
+        assert float(row.pop(key)) >= 0
+    assert row == {
+        "p": "6",
+        "algorithm": "ssc",
+        "projection": "hadamard_sign",
+        "seed": "7",
+        "ce": "0.65999999999999992",
+        "false_connections": "36",
+        "L_hat": "7",
+        "error": "",
+    }

@@ -69,6 +69,22 @@ def test_labels_reject_non_integer(tmp_path):
         read_labels_csv(path)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "Infinity"])
+def test_read_points_non_finite_cell(tmp_path, cell):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"1.0,2.0\n\n3.0,{cell}\n")
+    with pytest.raises(ParseError, match=f"row 3, column 2: '{cell}' is not a finite number"):
+        read_points_csv(path)
+
+
+@pytest.mark.parametrize("cell", ["inf", "-inf", "1e400", "nan"])
+def test_labels_reject_non_finite(tmp_path, cell):
+    path = tmp_path / "labels.csv"
+    path.write_text(f"0\n{cell}\n1\n")
+    with pytest.raises(ParseError, match="row 2, column 1"):
+        read_labels_csv(path)
+
+
 def test_dataset_round_trip(tmp_path):
     pts = np.random.default_rng(1).standard_normal((4, 9))
     data = DataSet(pts, labels=np.arange(9) % 3)

@@ -166,5 +166,8 @@ def test_non_finite_column_rejected(bad):
     x = np.random.default_rng(5).standard_normal((4, 6))
     x[1, 2] = bad
     x[0, 4] = bad
-    with pytest.raises(ValueError, match="column 2 has a non-finite entry"):
-        tsc_adjacency(x, TscConfig(q=2))
+    for build in (tsc_adjacency, tsc_neighbors):
+        for normalize in (False, True):
+            config = TscConfig(q=2, normalize_selection=normalize)
+            with pytest.raises(ValueError, match="column 2 has a non-finite entry"):
+                build(x, config)
