@@ -74,7 +74,7 @@ def write_labels_csv(path, labels) -> None:
 
 
 def read_labels_csv(path) -> np.ndarray:
-    """Read one integer label per line."""
+    """Read one integer label per line; 1.0 is accepted, 1.5 is a ParseError."""
     out = []
     with open(path, newline="") as fh:
         for i, row in enumerate(csv.reader(fh), start=1):
@@ -83,11 +83,12 @@ def read_labels_csv(path) -> np.ndarray:
             if len(row) != 1:
                 raise ParseError(f"row {i}: expected a single label, got {len(row)}")
             try:
-                out.append(int(float(row[0])))
-            except (ValueError, OverflowError):
-                raise ParseError(
-                    f"row {i}, column 1: {row[0]!r} is not an integer label"
-                ) from None
+                value = float(row[0])
+            except ValueError:
+                value = math.nan
+            if not (value.is_integer() and abs(value) < 2.0**63):  # also nan and inf
+                raise ParseError(f"row {i}, column 1: {row[0]!r} is not an integer label")
+            out.append(int(value))
     if not out:
         raise ParseError("no labels found")
     return np.array(out, dtype=int)

@@ -60,12 +60,10 @@ def false_connections(adj: Adjacency, truth) -> FalseConnectionReport:
     truth = np.asarray(truth)
     if truth.shape != (adj.n,):
         raise ValueError("truth labels must have one entry per vertex")
-    iu, ju = np.triu_indices(adj.n, k=1)
-    present = adj.weights[iu, ju] > 0
-    cross = truth[iu] != truth[ju]
+    iu, ju = np.nonzero(np.triu(adj.weights > 0, k=1))
     return FalseConnectionReport(
-        count=int(np.count_nonzero(present & cross)),
-        total_edges=int(np.count_nonzero(present)),
+        count=int(np.count_nonzero(truth[iu] != truth[ju])),
+        total_edges=iu.size,
     )
 
 

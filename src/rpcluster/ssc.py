@@ -26,6 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linprog
 
+from .synth import check_finite_columns
+
 SSC_MODES = ("lasso_admm", "exact_l1")
 
 # |z_i| above this counts as support when checking optimality certificates
@@ -93,10 +95,7 @@ class SscColumnInfo:
 
 def check_columns(x: np.ndarray) -> None:
     """Reject points (columns) with a NaN/inf entry or a zero norm, naming the first."""
-    finite = np.isfinite(x).all(axis=0)
-    if not finite.all():
-        bad = int(np.flatnonzero(~finite)[0])
-        raise ValueError(f"column {bad} has a non-finite entry")
+    check_finite_columns(x)
     norms = np.linalg.norm(x, axis=0)
     if np.any(norms == 0):
         bad = int(np.flatnonzero(norms == 0)[0])

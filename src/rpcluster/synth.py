@@ -83,9 +83,19 @@ class UnionModel:
         return int(sum(self.counts))
 
 
+def check_finite_columns(x: np.ndarray) -> None:
+    """Reject points (columns) with a NaN/inf entry, naming the first."""
+    if not np.isfinite(x).all():
+        bad = int(np.flatnonzero(~np.isfinite(x).all(axis=0))[0])
+        raise ValueError(f"column {bad} has a non-finite entry")
+
+
 @dataclass
 class DataSet:
-    """Points stored one per column, with optional ground-truth labels."""
+    """Points stored one per column, with optional ground-truth labels.
+
+    Points must be finite; labels must be integers (1.0 is, 1.5 is not).
+    """
 
     points: np.ndarray
     labels: np.ndarray | None = None
@@ -94,12 +104,18 @@ class DataSet:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2:
             raise ValueError("points must be a 2-d array, one point per column")
+        check_finite_columns(pts)
         self.points = pts
         if self.labels is not None:
-            lab = np.asarray(self.labels, dtype=int)
+            lab = np.asarray(self.labels)
             if lab.shape != (pts.shape[1],):
                 raise ValueError("labels must have one entry per point")
-            self.labels = lab
+            if lab.dtype.kind == "f":
+                integral = (lab == np.floor(lab)) & (np.abs(lab) < 2.0**63)  # no nan/inf
+                if not integral.all():
+                    bad = int(np.flatnonzero(~integral)[0])
+                    raise ValueError(f"label {bad} is {float(lab[bad])}, not an integer")
+            self.labels = lab.astype(int, copy=False)
 
     @property
     def dim(self) -> int:

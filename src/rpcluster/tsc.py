@@ -33,8 +33,9 @@ class TscConfig:
 def _select(data, config: TscConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Checked |X^T X|, the column norms, and the (N, q) selected neighbors.
 
-    Row j ranks the other points by score, descending, with a stable sort so
-    that ties go to the smaller index.
+    Row j ranks the other points by score, descending, and ties go to the
+    smaller index: exactly the first q of a stable argsort of -score. Only the
+    candidates at or above each row's q-th score are sorted.
     """
     x = np.asarray(getattr(data, "points", data), dtype=float)
     if x.ndim != 2:
@@ -50,8 +51,14 @@ def _select(data, config: TscConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray
     scores = gram / np.outer(norms, norms) if config.normalize_selection else gram
     ranking = -scores
     np.fill_diagonal(ranking, np.inf)  # a point is never its own neighbor
-    order = np.argsort(ranking, axis=1, kind="stable")
-    return gram, norms, order[:, : config.q]
+    q = config.q
+    # q <= N-1 and finite scores make every row's cut finite; ties at the cut
+    # keep more than q candidates, and the lexsort puts the smaller index first
+    cut = np.partition(ranking, q - 1, axis=1)[:, q - 1]
+    rows, cols = np.nonzero(ranking <= cut[:, None])  # rows ascending
+    cols = cols[np.lexsort((cols, ranking[rows, cols], rows))]
+    first = np.searchsorted(rows, np.arange(n_pts))
+    return gram, norms, cols[first[:, None] + np.arange(q)]
 
 
 def tsc_neighbors(data, config: TscConfig | None = None) -> np.ndarray:

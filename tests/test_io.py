@@ -85,6 +85,20 @@ def test_labels_reject_non_finite(tmp_path, cell):
         read_labels_csv(path)
 
 
+@pytest.mark.parametrize("cell", ["1.5", "2.9", "0.5", "-0.5", "1e-3", "1e300"])
+def test_labels_reject_fractional_or_overflowing(tmp_path, cell):
+    path = tmp_path / "labels.csv"
+    path.write_text(f"0\n{cell}\n1\n")
+    with pytest.raises(ParseError, match=f"row 2, column 1: '{cell}' is not an integer label"):
+        read_labels_csv(path)
+
+
+def test_labels_accept_integral_floats(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_text("0\n1.0\n2.\n-0.0\n3e0\n")
+    assert read_labels_csv(path).tolist() == [0, 1, 2, 0, 3]
+
+
 def test_dataset_round_trip(tmp_path):
     pts = np.random.default_rng(1).standard_normal((4, 9))
     data = DataSet(pts, labels=np.arange(9) % 3)

@@ -9,6 +9,7 @@ from rpcluster import (
     kmeans,
     laplacian_eigenvalues,
     normalized_laplacian,
+    spectral,
     spectral_cluster,
 )
 
@@ -181,3 +182,57 @@ def test_spectral_cluster_deterministic():
     b = spectral_cluster(adj, seed=5)
     assert np.array_equal(a.labels, b.labels)
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
+
+
+def large_block_graph(n):
+    """n vertices: 6 random-weight blocks, then two isolated vertices."""
+    rng = np.random.default_rng(n)
+    sizes = [(n - 2) // 6] * 5
+    sizes.append(n - 2 - sum(sizes))
+    w = np.zeros((n, n))
+    w[: n - 2, : n - 2] = block_adjacency(sizes, rng=rng).weights
+    return Adjacency(w), sizes
+
+
+@pytest.mark.parametrize("offset", [-1, 0], ids=["numpy-eigh", "subset-eigh"])
+def test_bottom_eigenpairs_on_large_block_graph(offset, monkeypatch):
+    n = spectral.SUBSET_SOLVE_MIN_N + offset
+    adj, sizes = large_block_graph(n)
+    subset_calls = []
+    scipy_eigh = spectral.linalg.eigh
+    monkeypatch.setattr(
+        spectral.linalg,
+        "eigh",
+        lambda *a, **kw: subset_calls.append(kw["subset_by_index"]) or scipy_eigh(*a, **kw),
+    )
+    result = spectral_cluster(adj, seed=0)
+    assert eigengap_estimate(adj) == 6
+    assert subset_calls == ([] if offset < 0 else [[0, 10], [0, 10]])
+    assert result.n_clusters == 6
+    # six repeated zeros, then the first nonzero eigenvalue
+    full = np.linalg.eigvalsh(normalized_laplacian(adj))
+    assert np.max(np.abs(result.eigenvalues - full[:7])) < 1e-12
+    assert np.all(np.abs(result.eigenvalues[:6]) < 1e-12)
+    blocks = np.repeat(np.arange(6), sizes)  # the components, isolated vertices aside
+    assert clustering_error(result.labels[: n - 2], blocks) == 0.0
+
+
+def test_both_eigensolvers_give_the_same_labels(monkeypatch):
+    adj, _ = large_block_graph(spectral.SUBSET_SOLVE_MIN_N)
+    subset = spectral_cluster(adj, n_clusters=6, seed=2)
+    monkeypatch.setattr(spectral, "SUBSET_SOLVE_MIN_N", adj.n + 1)
+    dense = spectral_cluster(adj, n_clusters=6, seed=2)
+    assert np.array_equal(subset.labels, dense.labels)
+    assert np.max(np.abs(subset.eigenvalues - dense.eigenvalues)) < 1e-12
+
+
+def test_large_graph_cluster_count_checked_before_solve(monkeypatch):
+    adj, _ = large_block_graph(spectral.SUBSET_SOLVE_MIN_N)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("eigensolve ran before the range check")
+
+    monkeypatch.setattr(spectral, "_bottom_eigh", no_solve)
+    for bad in (0, adj.n + 1):
+        with pytest.raises(ValueError, match=f"cluster count {bad} is out of range"):
+            spectral_cluster(adj, n_clusters=bad)

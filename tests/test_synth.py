@@ -179,3 +179,27 @@ def test_dataset_validation():
         DataSet(np.zeros(5))
     with pytest.raises(ValueError):
         DataSet(np.zeros((3, 4)), labels=[0, 1])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dataset_rejects_non_finite_point(bad):
+    pts = np.ones((3, 5))
+    pts[1, 2] = bad
+    pts[0, 4] = bad
+    with pytest.raises(ValueError, match="column 2 has a non-finite entry"):
+        DataSet(pts)
+
+
+@pytest.mark.parametrize(
+    "labels", [[0.5, 1.0, 2.0], [0, 1.9, 2], [0, 1, np.nan], [0, 1, np.inf], [0, 1e300, 1]]
+)
+def test_dataset_rejects_non_integer_labels(labels):
+    bad = next(i for i, v in enumerate(labels) if not (float(v).is_integer() and v < 2**63))
+    with pytest.raises(ValueError, match=f"label {bad} is .*, not an integer"):
+        DataSet(np.ones((2, 3)), labels=labels)
+
+
+def test_dataset_keeps_integral_float_labels():
+    data = DataSet(np.ones((2, 4)), labels=np.array([0.0, 1.0, -0.0, 2.0]))
+    assert data.labels.dtype.kind == "i"
+    assert data.labels.tolist() == [0, 1, 0, 2]

@@ -71,6 +71,30 @@ def test_normalized_neighbors_match_brute_force_cosine_sort():
     assert np.array_equal(tsc_neighbors(scaled, config), nbrs)
 
 
+@pytest.mark.parametrize("normalize", [False, True])
+@pytest.mark.parametrize("q", [1, 5])
+def test_tied_neighbors_match_brute_force_sort(normalize, q):
+    # integer points in {-2..2}^3: exact products, so many rows have equal
+    # scores at the q-th place and the tie rule decides the neighbor set
+    x = np.random.default_rng(8).integers(-2, 3, size=(3, 60)).astype(float)
+    x[:, ~x.any(axis=0)] = 1.0
+    n = x.shape[1]
+    norms = np.linalg.norm(x, axis=0)
+
+    def score(j, i):
+        s = abs(x[:, j] @ x[:, i])
+        return s / (norms[j] * norms[i]) if normalize else s
+
+    ranked = [
+        sorted((i for i in range(n) if i != j), key=lambda i: (-score(j, i), i))
+        for j in range(n)
+    ]
+    tied_rows = sum(score(j, r[q - 1]) == score(j, r[q]) for j, r in enumerate(ranked))
+    assert tied_rows >= 10
+    nbrs = tsc_neighbors(x, TscConfig(q=q, normalize_selection=normalize))
+    assert nbrs.tolist() == [r[:q] for r in ranked]
+
+
 def test_ties_break_toward_lower_index():
     # columns 1 and 2 are identical, both tie as neighbors of column 0
     base = np.array([1.0, 0.0])
