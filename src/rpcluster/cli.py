@@ -65,8 +65,6 @@ class ExperimentConfig:
     q: int = 4
     ssc_mode: str = "lasso_admm"
     alpha: float = 20.0
-    admm_rho: float | None = None
-    max_iter: int = 200
     repetitions: int = 1
     l_max: int = 10
     out: str = "sweep.csv"
@@ -110,14 +108,9 @@ class ExperimentConfig:
 def _ssc_config(settings) -> SscConfig:
     """SscConfig from an ExperimentConfig or a parsed ``cluster`` command line.
 
-    Both carry the SSC settings under the same four names.
+    Both carry the SSC settings under the same two names.
     """
-    return SscConfig(
-        mode=settings.ssc_mode,
-        alpha=settings.alpha,
-        admm_rho=settings.admm_rho,
-        max_iter=settings.max_iter,
-    )
+    return SscConfig(mode=settings.ssc_mode, alpha=settings.alpha)
 
 
 def _subseed(*parts) -> int:
@@ -338,11 +331,10 @@ def cmd_gen(args) -> int:
 def cmd_cluster(args) -> int:
     ssc = _ssc_config(args)
     data = dataio.read_dataset(args.data, args.labels)
-    if args.p > 0:
-        if args.projection == "none":
-            raise ValueError("p > 0 needs a projection kind")
-        if args.p > data.dim:
-            raise ValueError(f"p={args.p} exceeds the data dimension {data.dim}")
+    if not 0 <= args.p <= data.dim:
+        raise ValueError(f"p={args.p} must lie in [0, m={data.dim}]")
+    if args.p > 0 and args.projection == "none":
+        raise ValueError("p > 0 needs a projection kind")
     working, time_project = _project(data, args.projection, args.p, args.proj_seed)
     fields, result, adj = _cluster_and_score(
         args.algorithm, working, ssc, args.q,
@@ -467,8 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--q", type=int, default=4, help="neighbors per point (tsc)")
     cluster.add_argument("--ssc-mode", choices=SSC_MODES, default="lasso_admm")
     cluster.add_argument("--alpha", type=float, default=20.0)
-    cluster.add_argument("--admm-rho", type=float, default=None)
-    cluster.add_argument("--max-iter", type=int, default=200)
     cluster.add_argument(
         "--clusters", type=int, default=None, help="force the cluster count (skip eigengap)"
     )
@@ -492,8 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--q", type=int, default=None)
     sweep.add_argument("--ssc-mode", dest="ssc_mode", choices=SSC_MODES, default=None)
     sweep.add_argument("--alpha", type=float, default=None)
-    sweep.add_argument("--admm-rho", dest="admm_rho", type=float, default=None)
-    sweep.add_argument("--max-iter", dest="max_iter", type=int, default=None)
     sweep.add_argument("--repetitions", type=int, default=None)
     sweep.add_argument("--l-max", dest="l_max", type=int, default=None)
     sweep.add_argument("--out", default=None)

@@ -8,20 +8,22 @@ as a split-variable LP. "lasso_admm" solves the penalized variant
 
     min  lambda_j ||z||_1 + 1/2 ||x_j - X z||_2^2,  z_j = 0
 
-by ADMM, with the per-column weight lambda_j = mu_j / alpha where
-mu_j = max_{i != j} |<x_i, x_j>|. alpha > 1 keeps lambda_j below the
-threshold at which the solution collapses to zero. The ADMM advances all
-columns together: every column shares the dictionary X, so after one thin
-SVD each z-update is a rank-min(p, N) correction applied to all columns by
-matrix products, and an iteration costs O(N^2 min(p, N)) for p-dimensional
-points. Each column still keeps its own iterates and stopping rule.
+with the per-column weight lambda_j = mu_j / alpha where
+mu_j = max_{i != j} |<x_i, x_j>|. The lasso solution is zero for
+lambda >= mu_j, so alpha must exceed 1. Despite its name, which stays because
+it is a CLI choice and a CSV value, the mode is solved exactly by a lasso
+homotopy (Osborne, Presnell & Turlach 2000; Efron et al. 2004): each column
+follows its piecewise-linear solution path from lambda = mu_j down to
+lambda_j, a few steps per nonzero coefficient, on the Gram matrix
+G = X^T X computed once. A step costs O(N |A|) for an active set A, and
+|A| <= rank(X) <= p for p-dimensional points.
 """
 
 from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields as dataclass_fields
 
 import numpy as np
 from scipy.optimize import linprog
@@ -32,6 +34,14 @@ SSC_MODES = ("lasso_admm", "exact_l1")
 
 # |z_i| above this counts as support when checking optimality certificates
 SUPPORT_TOL = 1e-9
+# a lasso path atom whose squared distance to the span of the active set is at
+# most this fraction of its squared norm counts as inside the span
+SPAN_TOL = 1e-10
+# safety cap on lasso path steps per column, in units of N; paths on
+# union-of-subspaces data take a few steps per nonzero coefficient
+MAX_PATH_STEPS = 10
+# largest lasso KKT residual, in units of lambda, a solved column may have
+PATH_KKT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -40,20 +50,16 @@ class SscConfig:
 
     mode: str = "lasso_admm"
     alpha: float = 20.0
-    admm_rho: float | None = None
-    max_iter: int = 200
-    tol_abs: float = 1e-6
-    tol_rel: float = 1e-6
+    tol_abs: float = 1e-6  # exact_l1: largest accepted certificate violation
 
     def __post_init__(self):
         if self.mode not in SSC_MODES:
             raise ValueError(f"unknown mode {self.mode!r}, expected one of {SSC_MODES}")
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
-        if self.admm_rho is not None and not self.admm_rho > 0:
-            raise ValueError("admm_rho must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        if not self.alpha > 1:
+            raise ValueError(
+                f"alpha must exceed 1, got {self.alpha}: at lambda_j = mu_j/alpha >= mu_j "
+                "every lasso column is exactly zero"
+            )
 
 
 @dataclass(frozen=True)
@@ -86,10 +92,7 @@ class SscColumnInfo:
     converged: bool
     iterations: int
     objective: float
-    primal_residual: float | None = None
-    dual_residual: float | None = None
     kkt_residual: float | None = None
-    objective_history: list | None = None
     message: str = ""
 
 
@@ -100,10 +103,6 @@ def check_columns(x: np.ndarray) -> None:
     if np.any(norms == 0):
         bad = int(np.flatnonzero(norms == 0)[0])
         raise ValueError(f"column {bad} is identically zero")
-
-
-def _soft_threshold(v: np.ndarray, k: float) -> np.ndarray:
-    return np.sign(v) * np.maximum(np.abs(v) - k, 0.0)
 
 
 def _l1_kkt_residual(dictionary: np.ndarray, z: np.ndarray, nu: np.ndarray) -> float:
@@ -154,115 +153,118 @@ def _exact_l1_column(
     return z, info
 
 
-def _lasso_admm(x: np.ndarray, config: SscConfig) -> tuple[np.ndarray, list[SscColumnInfo]]:
-    """ADMM on min ||z||_1 + (alpha/mu_j)/2 ||x_j - Xz||^2, z_j = 0, for every column j.
+def _lasso_path_column(
+    gram: np.ndarray, j: int, lam_target: float
+) -> tuple[np.ndarray, SscColumnInfo]:
+    """Lasso homotopy for column j, from lambda = mu_j down to lam_target.
 
-    This is the equivalent of min lambda_j ||z||_1 + 1/2 ||x_j - Xz||^2 with
-    lambda_j = mu_j/alpha; weighting the fit term keeps rho = alpha well scaled.
-    Reported objectives use the lambda form so modes are comparable.
-
-    Each column runs its own iteration and stopping rule, but all columns
-    advance together as the columns of N x k matrices whose own-index entry
-    stays 0. Column j's z-update solves (w_j X_{-j}^T X_{-j} + rho I) z = b,
-    which by Woodbury is z = (b - w_j X^T M_j^{-1} X b) / rho with the r x r
-    M_j = rho I + w_j X_{-j} X_{-j}^T, r = min(p, N). In the frame of a thin
-    SVD, X~ = U^T X, M_j = diag(rho + w_j s^2) - w_j x~_j x~_j^T is a diagonal
-    minus a rank-1 term, so Sherman-Morrison applies every M_j^{-1} with matrix
-    products and no per-column factorization. A column that meets its
-    stopping rule is frozen and dropped; the rest go on.
+    The path starts with the arg-max atom of mu_j active and z = 0. On an
+    active set A with signs s, as lambda falls by gamma, z_A grows by gamma d
+    with G_AA d = s and the correlations c = X^T (x_j - X z) fall by
+    gamma G[:, A] d, so c_A stays lambda s. A step ends when an inactive
+    atom's |c_i| reaches lambda (it enters), an active z_k reaches zero (it is
+    dropped) or lambda reaches lam_target, where z is the exact solution.
+    G_AA^{-1} is updated by bordering on entry, whose pivot is the entering
+    atom's squared distance to the span of A, and by a Schur complement on a
+    drop.
     """
-    n_pts = x.shape[1]
-    n = n_pts - 1
-    gram = x.T @ x
-    off = np.abs(gram)
-    np.fill_diagonal(off, 0.0)
-    mu = off.max(axis=0)
-    z_full = np.zeros((n_pts, n_pts))
-    infos: list[SscColumnInfo | None] = [None] * n_pts
-    for j in np.flatnonzero(mu == 0):
-        infos[j] = SscColumnInfo(
-            column=int(j),
-            mode="lasso_admm",
-            converged=False,
-            iterations=0,
-            objective=0.0,
-            message="point is orthogonal to all others",
-        )
-
-    rho = config.admm_rho if config.admm_rho is not None else config.alpha
-    _, sig, vt = np.linalg.svd(x, full_matrices=False)
-    xt = sig[:, None] * vt  # X~ = U^T X, r x N, with X~^T X~ = X^T X
-    # per active column: the global index and everything its iteration needs
-    cols = np.flatnonzero(mu > 0)
-    lam = mu[cols] / config.alpha
-    w = config.alpha / mu[cols]
-    y_sq = gram[cols, cols]
-    dty = gram[:, cols]
-    dty[cols, np.arange(cols.size)] = 0.0
-    xt_c = xt[:, cols]
-    dinv = 1.0 / (rho + np.outer(sig**2, w))
-    q = dinv * xt_c  # D_j^{-1} x~_j
-    denom = 1.0 - w * np.einsum("ij,ij->j", xt_c, q)
-    v = np.zeros((n_pts, cols.size))
-    u = np.zeros((n_pts, cols.size))
-    history = np.empty((0, cols.size))
-    rows = []
-    eps_abs = np.sqrt(n) * config.tol_abs
-    for it in range(1, config.max_iter + 1):
-        if cols.size == 0:
-            break
-        b = w * dty + rho * (v - u)
-        y = dinv * (xt @ b)
-        y += q * (w * np.einsum("ij,ij->j", xt_c, y) / denom)
-        z = (b - w * (xt.T @ y)) / rho
-        z[cols, np.arange(cols.size)] = 0.0
-        v_old = v
-        v = _soft_threshold(z + u, 1.0 / rho)
-        u = u + z - v
-        r_norm = np.linalg.norm(z - v, axis=0)
-        s_norm = rho * np.linalg.norm(v - v_old, axis=0)
-        xv = xt @ v
-        obj = lam * np.abs(v).sum(axis=0) + 0.5 * (xv * xv).sum(axis=0)
-        obj += 0.5 * y_sq - (dty * v).sum(axis=0)
-        rows.append(obj)
-        eps_pri = eps_abs + config.tol_rel * np.maximum(
-            np.linalg.norm(z, axis=0), np.linalg.norm(v, axis=0)
-        )
-        eps_dual = eps_abs + config.tol_rel * np.linalg.norm(rho * u, axis=0)
-        done = (r_norm <= eps_pri) & (s_norm <= eps_dual)
-        stop = done if it < config.max_iter else np.ones(cols.size, dtype=bool)
-        if not stop.any():
-            continue
-        history = np.vstack([history, *rows])
-        rows = []
-        idx = np.flatnonzero(stop)
-        # lasso stationarity at v: D^T(y - Dv) must lie in lam * subgradient(|v|_1)
-        g = dty[:, idx] - xt.T @ xv[:, idx]
-        g[cols[idx], np.arange(idx.size)] = 0.0
-        v_s = v[:, idx]
-        kkt = np.maximum(np.abs(g).max(axis=0) / lam[idx] - 1.0, 0.0)
-        kkt = np.maximum(
-            kkt, np.where(v_s != 0, np.abs(g / lam[idx] - np.sign(v_s)), 0.0).max(axis=0)
-        )
-        z_full[:, cols[idx]] = v_s
-        for t, i in enumerate(idx):
-            infos[cols[i]] = SscColumnInfo(
-                column=int(cols[i]),
-                mode="lasso_admm",
-                converged=bool(done[i]),
-                iterations=it,
-                objective=float(obj[i]),
-                primal_residual=float(r_norm[i]),
-                dual_residual=float(s_norm[i]),
-                kkt_residual=float(kkt[t]),
-                objective_history=history[:, i].tolist(),
-                message="" if done[i] else "max_iter reached",
-            )
-        keep = ~stop
-        cols, lam, w, y_sq, denom = cols[keep], lam[keep], w[keep], y_sq[keep], denom[keep]
-        dty, xt_c, dinv, q = dty[:, keep], xt_c[:, keep], dinv[:, keep], q[:, keep]
-        v, u, history = v[:, keep], u[:, keep], history[:, keep]
-    return z_full, infos
+    n_pts = gram.shape[0]
+    c = gram[j].copy()
+    c[j] = 0.0
+    first = int(np.abs(c).argmax())
+    lam = abs(c[first])
+    sides = np.array([[1.0], [-1.0]])
+    sc = c * sides  # atom i reaches the boundary on side t when sc[t, i] = lambda
+    active, s, z_a = [first], np.sign(c[[first]]), np.zeros(1)
+    inv = np.array([[1.0 / gram[first, first]]])
+    # blocked[t, i]: atom i may not enter on side t. Besides j and A, some
+    # atoms are held out until the next step (flat indices in held): those in
+    # the span of A, and the atom dropped in the last step on the side it left,
+    # where it sits at |c_i| = lambda and rounding would let it re-enter.
+    blocked = np.zeros((2, n_pts), dtype=bool)
+    blocked[:, [j, first]] = True
+    held: list[int] = []
+    steps, reached = 0, False
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while steps < MAX_PATH_STEPS * n_pts:
+            d = inv @ s
+            sa = (d @ gram.take(active, 0)) * sides
+            rate = 1.0 - sa
+            enter = np.maximum(lam - sc, 0.0) / rate  # a gap below zero is a tie
+            enter[blocked | (rate <= 0)] = np.inf
+            flat = int(enter.argmin())
+            sd = s * d
+            drop = np.where(sd < 0, np.maximum(s * z_a, 0.0) / -sd, np.inf)
+            k_out = int(drop.argmin())
+            to_end = lam - lam_target
+            gamma = min(drop[k_out], to_end)
+            entering = enter.flat[flat] < gamma
+            if entering:
+                side, i_in = divmod(flat, n_pts)
+                b = inv @ gram[active, i_in]
+                pivot = gram[i_in, i_in] - gram[i_in, active] @ b
+                if pivot <= SPAN_TOL * gram[i_in, i_in]:
+                    # in the span of A, i_in holds KKT with a zero coefficient
+                    blocked[:, i_in] = True
+                    held += [i_in, n_pts + i_in]
+                    continue
+                gamma = enter.flat[flat]
+            z_a += gamma * d
+            sc -= gamma * sa
+            steps += 1
+            if not entering and gamma == to_end:
+                reached = True
+                break
+            lam -= gamma
+            blocked.flat[held] = False
+            held = []
+            if entering:
+                active.append(i_in)
+                s, z_a = np.append(s, 1.0 - 2.0 * side), np.append(z_a, 0.0)
+                blocked[:, i_in] = True
+                grown = np.zeros((len(s), len(s)))
+                grown[:-1, :-1] = inv
+                u = np.append(-b, 1.0)
+                inv = grown + np.outer(u, u) / pivot
+            else:
+                keep = [t for t in range(len(active)) if t != k_out]
+                out = active.pop(k_out)
+                side = int(s[k_out] < 0)
+                blocked[1 - side, out] = False
+                held.append(side * n_pts + out)
+                col = inv[keep, k_out]
+                inv = inv[keep][:, keep] - col[:, None] * col / inv[k_out, k_out]
+                s, z_a = s[keep], z_a[keep]
+    if reached:
+        # re-solve on the support and signs the path found, free of the
+        # rounding the inverse updates gathered; a coefficient that is zero
+        # at lam_target may come out at rounding level with the wrong sign
+        z_a = np.linalg.solve(gram[np.ix_(active, active)], gram[active, j] - lam_target * s)
+        z_a[s * z_a <= 0] = 0.0
+    # certificate: g = X_{-j}^T (x_j - X z) in lam_target * subgradient(|z|_1)
+    g = gram[j] - z_a @ gram[active]
+    fit = g[j] - z_a @ g[active]  # ||x_j - X z||^2
+    g[j] = 0.0
+    on = z_a != 0
+    kkt = max(
+        float(np.abs(g).max()) / lam_target - 1.0,
+        float(np.abs(g[active][on] / lam_target - np.sign(z_a[on])).max(initial=0.0)),
+        0.0,
+    )
+    message = "" if reached else "path step cap reached"
+    if reached and kkt > PATH_KKT_TOL:
+        message = f"KKT residual {kkt:.1e} above {PATH_KKT_TOL:.0e}"
+    z = np.zeros(n_pts)
+    z[active] = z_a
+    return z, SscColumnInfo(
+        column=j,
+        mode="lasso_admm",
+        converged=not message,
+        iterations=steps,
+        objective=float(lam_target * np.abs(z_a).sum() + 0.5 * fit),
+        kkt_residual=kkt,
+        message=message,
+    )
 
 
 def ssc_coefficients(
@@ -286,11 +288,26 @@ def ssc_coefficients(
         raise ValueError("self-representation needs at least two points")
     check_columns(x)
 
+    z_full = np.zeros((n_pts, n_pts))
+    infos = []
     if config.mode == "lasso_admm":
-        z_full, infos = _lasso_admm(x, config)
+        # lambda_j = mu_j / alpha, with mu_j = max_{i != j} |G_ij|
+        gram = x.T @ x
+        mu = np.abs(gram - np.diag(np.diag(gram))).max(axis=0)
+        for j in range(n_pts):
+            if mu[j] == 0:
+                info = SscColumnInfo(
+                    column=j,
+                    mode="lasso_admm",
+                    converged=False,
+                    iterations=0,
+                    objective=0.0,
+                    message="point is orthogonal to all others",
+                )
+            else:
+                z_full[:, j], info = _lasso_path_column(gram, j, mu[j] / config.alpha)
+            infos.append(info)
     else:
-        z_full = np.zeros((n_pts, n_pts))
-        infos = []
         for j in range(n_pts):
             others = np.concatenate([np.arange(j), np.arange(j + 1, n_pts)])
             coef, info = _exact_l1_column(x[:, others], x[:, j], j, config.tol_abs)
@@ -327,17 +344,7 @@ def ssc_adjacency(data, config: SscConfig | None = None, return_info: bool = Fal
 
 def write_diagnostics_csv(infos: list[SscColumnInfo], path) -> None:
     """Dump per-column solver diagnostics to CSV."""
-    fields = [
-        "column",
-        "mode",
-        "converged",
-        "iterations",
-        "objective",
-        "primal_residual",
-        "dual_residual",
-        "kkt_residual",
-        "message",
-    ]
+    fields = [f.name for f in dataclass_fields(SscColumnInfo)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(fields)

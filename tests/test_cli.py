@@ -164,6 +164,33 @@ def test_cluster_rejects_p_without_kind(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cluster_rejects_negative_p(tmp_path, capsys):
+    data, _ = run_gen(tmp_path, seed=6)
+    timing = tmp_path / "timing.csv"
+    code = main([
+        "cluster", "--data", str(data), "--algorithm", "tsc",
+        "--p", "-5", "--projection", "gaussian",
+        "--out-labels", str(tmp_path / "x.csv"), "--timing-csv", str(timing),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "p=-5 must lie in [0, m=30]" in err
+    assert not timing.exists()
+
+
+def test_cluster_rejects_alpha_at_most_one(tmp_path, capsys):
+    data, labels = run_gen(tmp_path, seed=6)
+    code = main([
+        "cluster", "--data", str(data), "--labels", str(labels),
+        "--algorithm", "ssc", "--alpha", "0.5", "--out-labels", str(tmp_path / "x.csv"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "every lasso column is exactly zero" in err
+
+
 def test_cluster_rejects_infinite_label(tmp_path, capsys):
     data, labels = run_gen(tmp_path, seed=6)
     lines = labels.read_text().splitlines()
@@ -395,14 +422,16 @@ def test_ingest_ragged_row_fails(tmp_path, capsys):
 
 # Recorded before the cluster and sweep commands shared one pipeline; the
 # seeds pin the cell-seed derivation (master seed, repetition, p, kind code).
+# The SSC rows were re-recorded when the lasso moved from ADMM to the exact
+# path solver.
 PINNED_SWEEP_ROWS = [
-    (0, "ssc", "fourier_sign", 10130072436621640509, 0.75, 0, 10),
+    (0, "ssc", "fourier_sign", 10130072436621640509, 0.8, 0, 10),
     (0, "ssc", "gaussian", 3786653025246517810, 0.8, 0, 10),
-    (0, "ssc", "hadamard_sign", 6332631265567319456, 0.75, 0, 10),
+    (0, "ssc", "hadamard_sign", 6332631265567319456, 0.8, 0, 10),
     (0, "tsc", "fourier_sign", 10130072436621640509, 0.6, 0, 6),
     (0, "tsc", "gaussian", 3786653025246517810, 0.65, 0, 7),
     (0, "tsc", "hadamard_sign", 6332631265567319456, 0.6, 0, 6),
-    (8, "ssc", "fourier_sign", 886369040772539732, 0.6, 0, 6),
+    (8, "ssc", "fourier_sign", 886369040772539732, 0.7, 0, 8),
     (8, "ssc", "gaussian", 11719112351670797992, 0.7, 0, 8),
     (8, "ssc", "hadamard_sign", 9574799564544175848, 0.65, 1, 7),
     (8, "tsc", "fourier_sign", 886369040772539732, 0.6, 2, 6),
@@ -452,7 +481,7 @@ def test_cluster_pinned_timing_row(tmp_path):
         "projection": "hadamard_sign",
         "seed": "7",
         "ce": "0.65999999999999992",
-        "false_connections": "36",
+        "false_connections": "31",
         "L_hat": "7",
         "error": "",
     }

@@ -20,8 +20,6 @@ from rpcluster import (
 )
 
 EXACT = SscConfig(mode="exact_l1")
-# iterated far past the default stopping rule so the lasso KKT error is tiny
-TIGHT_ADMM = SscConfig(mode="lasso_admm", admm_rho=2.0, max_iter=5000, tol_abs=1e-10, tol_rel=1e-10)
 
 
 def l1_oracle(dictionary, target):
@@ -53,50 +51,54 @@ def lasso_oracle(dictionary, target, lam):
     return np.asarray(z.value).ravel(), prob.value
 
 
-def reference_lasso_admm(x, config):
-    """Per-column ADMM with one Cholesky factor of w G_{-j} + rho I per column.
+def reference_lasso_admm(x, alpha=20.0, rho=2.0, max_iter=5000, tol=1e-10):
+    """Lasso SSC by per-column ADMM, an independent oracle for the path solver.
 
-    The same iteration and stopping rule as the library's batched solver,
-    written the direct way: each column solves its own (N-1) x (N-1) system.
-    Returns Z and per-column (iterations, converged, objective history).
+    Column j runs ADMM on min ||z||_1 + (alpha/mu_j)/2 ||x_j - X_{-j} z||^2 (the
+    lasso with lambda_j = mu_j/alpha, rescaled) with one Cholesky factor of
+    w G_{-j} + rho I, until the primal and dual residuals fall below tol
+    (absolute and relative) or max_iter. Returns Z.
     """
     n_pts = x.shape[1]
     gram = x.T @ x
-    rho = config.admm_rho if config.admm_rho is not None else config.alpha
     z_full = np.zeros((n_pts, n_pts))
-    runs = []
     for j in range(n_pts):
         others = np.delete(np.arange(n_pts), j)
-        g, dty, y_sq = gram[np.ix_(others, others)], gram[others, j], gram[j, j]
+        g, dty = gram[np.ix_(others, others)], gram[others, j]
         mu = np.max(np.abs(dty))
         if mu == 0:
-            runs.append((0, False, []))
             continue
-        lam, w, n = mu / config.alpha, config.alpha / mu, n_pts - 1
+        w, n = alpha / mu, n_pts - 1
         chol = cho_factor(w * g + rho * np.eye(n))
         v = np.zeros(n)
         u = np.zeros(n)
-        history = []
-        converged = False
-        for it in range(1, config.max_iter + 1):
+        for _ in range(max_iter):
             z = cho_solve(chol, w * dty + rho * (v - u))
             v_old = v
             v = np.sign(z + u) * np.maximum(np.abs(z + u) - 1.0 / rho, 0.0)
             u = u + z - v
-            history.append(lam * np.abs(v).sum() + 0.5 * v @ g @ v - dty @ v + 0.5 * y_sq)
-            eps_pri = np.sqrt(n) * config.tol_abs + config.tol_rel * max(
-                np.linalg.norm(z), np.linalg.norm(v)
-            )
-            eps_dual = np.sqrt(n) * config.tol_abs + config.tol_rel * np.linalg.norm(rho * u)
+            eps_pri = np.sqrt(n) * tol + tol * max(np.linalg.norm(z), np.linalg.norm(v))
+            eps_dual = np.sqrt(n) * tol + tol * np.linalg.norm(rho * u)
             if (
                 np.linalg.norm(z - v) <= eps_pri
                 and rho * np.linalg.norm(v - v_old) <= eps_dual
             ):
-                converged = True
                 break
         z_full[others, j] = v
-        runs.append((it, converged, history))
-    return z_full, runs
+    return z_full
+
+
+def lasso_kkt(x, z, j, alpha=20.0):
+    """Column j's lasso stationarity residual in units of lambda_j, from scratch."""
+    dictionary = np.delete(x, j, axis=1)
+    v = np.delete(z[:, j], j)
+    lam = np.max(np.abs(dictionary.T @ x[:, j])) / alpha
+    g = dictionary.T @ (x[:, j] - dictionary @ v) / lam
+    on = v != 0
+    res = max(np.max(np.abs(g)) - 1.0, 0.0)
+    if on.any():
+        res = max(res, np.max(np.abs(g[on] - np.sign(v[on]))))
+    return res
 
 
 def subspace_data(m, d, counts, seed, n_bases=None):
@@ -182,11 +184,11 @@ def test_admm_matches_lasso_oracle():
     pytest.importorskip("cvxpy")
     data = subspace_data(6, 2, (5, 5), seed=7)
     x = data.points
-    z, infos = ssc_coefficients(x, TIGHT_ADMM, return_info=True)
+    z, infos = ssc_coefficients(x, return_info=True)
     gram = x.T @ x
     for j in (0, 4, 9):
         mu = np.max(np.abs(np.delete(gram[j], j)))
-        lam = mu / TIGHT_ADMM.alpha
+        lam = mu / SscConfig().alpha
         dictionary = np.delete(x, j, axis=1)
         oracle_z, oracle_obj = lasso_oracle(dictionary, x[:, j], lam)
         assert abs(infos[j].objective - oracle_obj) < 1e-6
@@ -195,44 +197,18 @@ def test_admm_matches_lasso_oracle():
 
 
 def test_admm_kkt_residual_small_when_pushed():
+    # the lasso path ends at the exact solution under the defaults
     data = subspace_data(9, 3, (8, 8), seed=11)
-    _, infos = ssc_coefficients(data.points, TIGHT_ADMM, return_info=True)
-    for info in infos:
-        assert info.kkt_residual <= 1e-6
+    z, infos = ssc_coefficients(data.points, return_info=True)
+    for j, info in enumerate(infos):
+        assert info.kkt_residual <= 1e-9
+        assert lasso_kkt(data.points, z, j) <= 1e-9
         assert info.converged
-
-
-def test_admm_objective_net_decrease():
-    # per-step monotonicity does not hold for this splitting, but the
-    # objective must end below its early-iterate level
-    data = subspace_data(10, 3, (10, 10), seed=13)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        _, infos = ssc_coefficients(data.points, return_info=True)
-    for info in infos:
-        hist = info.objective_history
-        assert len(hist) >= 6
-        assert hist[-1] <= hist[5] + 1e-10
-        assert np.isfinite(hist).all()
-
-
-def test_admm_converged_residuals_within_tolerance():
-    cfg = SscConfig(max_iter=2000, tol_abs=1e-8, tol_rel=1e-8)
-    data = subspace_data(8, 2, (8, 8), seed=17)
-    _, infos = ssc_coefficients(data.points, cfg, return_info=True)
-    for info in infos:
-        if info.converged:
-            n = 15  # dictionary size N - 1
-            eps_floor = np.sqrt(n) * cfg.tol_abs
-            assert info.primal_residual <= eps_floor + 1e-6
-            assert info.dual_residual <= eps_floor + 1e-6
 
 
 def test_default_admm_recovers_block_structure():
     data = subspace_data(12, 2, (10, 10), seed=19)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        adj = ssc_adjacency(data.points)
+    adj = ssc_adjacency(data.points)
     cross = adj.weights[:10, 10:]
     within = adj.weights[:10, :10]
     assert within.sum() > 20 * cross.sum()
@@ -256,26 +232,89 @@ def points_with_orthogonal_one():
     return np.hstack([x, np.eye(10)[:, 9:]])
 
 
-@pytest.mark.parametrize("config", [SscConfig(), TIGHT_ADMM], ids=["default", "tight"])
 @pytest.mark.parametrize(
     "points", [projected_points, wide_points, points_with_orthogonal_one],
     ids=["p_below_n", "p_above_n", "orthogonal_point"],
 )
-def test_batched_admm_matches_per_column_reference(points, config):
+def test_lasso_path_matches_admm_reference(points):
     x = points()
-    ref_z, runs = reference_lasso_admm(x, config)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        z, infos = ssc_coefficients(x, config, return_info=True)
-    assert np.max(np.abs(z - ref_z)) <= 1e-10
+        warnings.simplefilter("ignore", RuntimeWarning)  # the orthogonal point
+        z, infos = ssc_coefficients(x, return_info=True)
+    assert np.max(np.abs(z - reference_lasso_admm(x))) <= 1e-6
     assert np.all(np.diag(z) == 0.0)
-    for info, (iterations, converged, history) in zip(infos, runs):
-        assert info.iterations == iterations
-        assert info.converged == converged
-        assert len(info.objective_history or []) == len(history)
-        if history:
-            assert np.allclose(info.objective_history, history, rtol=1e-9, atol=1e-12)
-            assert info.objective == info.objective_history[-1]
+    for j, info in enumerate(infos):
+        if info.message == "point is orthogonal to all others":
+            continue
+        assert info.converged and info.iterations >= 1
+        assert info.kkt_residual <= 1e-9
+        assert lasso_kkt(x, z, j) <= 1e-9
+
+
+# Found by search over small integer point sets with duplicates: ties let
+# column 2's path drop atom 4 while it sits exactly on the boundary. If the
+# dropped atom may re-enter in the next step, the path cycles between
+# dropping and re-adding it until the step cap, with KKT residual 0.5.
+TIE_POINTS = np.array([
+    [2, 2, -4, 2, 4, 2, 2, 2, 2, 0, -1, 2, 2, 2, -2],
+    [-2, -1, -2, -2, 0, 0, -2, 0, 0, 0, 1, -1, 1, -2, 0],
+    [4, 0, 2, -2, 2, 0, 2, -2, 1, -1, -2, 0, -1, -2, -1],
+    [0, 1, 0, -1, 4, 1, 2, 1, 2, 1, 0, 1, 0, -1, -2],
+], dtype=float)
+
+
+def test_lasso_path_does_not_readmit_a_dropped_atom_at_once():
+    z, infos = ssc_coefficients(TIE_POINTS, SscConfig(alpha=1.5), return_info=True)
+    # column 2: 4 steps for 1 nonzero, so one atom entered and was dropped
+    assert infos[2].iterations > np.count_nonzero(z[:, 2])
+    for j, info in enumerate(infos):
+        assert info.converged
+        assert lasso_kkt(TIE_POINTS, z, j, alpha=1.5) <= 1e-9
+
+
+def test_lasso_path_lets_a_dropped_atom_return_with_the_other_sign():
+    # column 2's path drops atom 0 from a negative coefficient, and in the
+    # next step atom 0 enters again with a positive one; a bar on both signs
+    # leaves column 2 at KKT residual 1.8
+    x = np.array([
+        [1.14, 0.82, -2.62, -1.03],
+        [-1.42, -0.30, -0.29, 0.94],
+        [-0.07, -1.91, 0.99, -0.86],
+    ])
+    x /= np.linalg.norm(x, axis=0)
+    z, infos = ssc_coefficients(x, return_info=True)
+    assert infos[2].iterations > np.count_nonzero(z[:, 2])
+    assert np.max(np.abs(z - reference_lasso_admm(x))) <= 1e-6
+    for j, info in enumerate(infos):
+        assert info.converged
+        assert lasso_kkt(x, z, j) <= 1e-9
+
+
+def test_lasso_path_with_duplicate_points():
+    rng = np.random.default_rng(53)
+    base = rng.standard_normal((6, 10))
+    base /= np.linalg.norm(base, axis=0)
+    # 10 copies point 0, 11 is -1 times point 3, 12 and 13 are 0.5 and -0.25
+    # times points 5 and 7; each twin listed below has the largest |<x_i, x_j>|
+    x = np.hstack([base, base[:, [0]], -base[:, [3]], 0.5 * base[:, [5]], -0.25 * base[:, [7]]])
+    twins = {0: 10, 10: 0, 3: 11, 11: 3, 12: 5, 13: 7}
+    z, infos = ssc_coefficients(x, return_info=True)
+    for j, info in enumerate(infos):
+        assert info.converged
+        assert lasso_kkt(x, z, j) <= 1e-9
+        if j in twins:
+            assert np.flatnonzero(z[:, j]).tolist() == [twins[j]]
+
+
+def test_defaults_converge_without_warning():
+    # the benchmark's shape: N=150 points of 3 subspaces, Gaussian p=20
+    data = subspace_data(100, 5, (50, 50, 50), seed=59)
+    x = project_columns(make_projector("gaussian", 100, 20, seed=59), data.points)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _, infos = ssc_coefficients(x, return_info=True)
+    assert all(info.converged for info in infos)
+    assert max(info.kkt_residual for info in infos) <= 1e-9
 
 
 def test_orthogonal_point_is_reported_and_left_out():
@@ -314,10 +353,9 @@ def test_too_few_points():
 def test_bad_mode_rejected():
     with pytest.raises(ValueError):
         SscConfig(mode="omp")
-    with pytest.raises(ValueError):
-        SscConfig(alpha=0.0)
-    with pytest.raises(ValueError):
-        SscConfig(max_iter=0)
+    for alpha in (0.0, 0.5, 1.0):
+        with pytest.raises(ValueError, match="every lasso column is exactly zero"):
+            SscConfig(alpha=alpha)
 
 
 def test_infeasible_exact_column_warns_and_zeroes():
