@@ -5,8 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg
+from scipy import sparse
 from scipy.sparse import csgraph
+from scipy.sparse.linalg import eigsh
 
 from .ssc import Adjacency
 
@@ -21,6 +22,15 @@ class ClusteringResult:
     metadata: dict = field(default_factory=dict)
 
 
+def _inv_sqrt_degree(w: np.ndarray) -> np.ndarray:
+    """D^{-1/2} as a vector, with 0 for isolated (zero-degree) vertices."""
+    deg = w.sum(axis=1)
+    inv_sqrt = np.zeros_like(deg)
+    nz = deg > 0
+    inv_sqrt[nz] = 1.0 / np.sqrt(deg[nz])
+    return inv_sqrt
+
+
 def normalized_laplacian(adj: Adjacency) -> np.ndarray:
     """Symmetric normalized Laplacian I - D^{-1/2} W D^{-1/2}.
 
@@ -29,13 +39,26 @@ def normalized_laplacian(adj: Adjacency) -> np.ndarray:
     since W is and inv_sqrt[i] * inv_sqrt[j] commutes.
     """
     w = adj.weights
-    deg = w.sum(axis=1)
-    inv_sqrt = np.zeros_like(deg)
-    nz = deg > 0
-    inv_sqrt[nz] = 1.0 / np.sqrt(deg[nz])
+    inv_sqrt = _inv_sqrt_degree(w)
     lap = -w * np.outer(inv_sqrt, inv_sqrt)
     np.fill_diagonal(lap, 1.0)
     return lap
+
+
+def _sparse_laplacian(adj: Adjacency) -> sparse.csr_array:
+    """normalized_laplacian(adj) as CSR, entry for entry."""
+    w = adj.weights
+    inv_sqrt = _inv_sqrt_degree(w)
+    rows, cols = np.nonzero(w > 0)  # an Adjacency is nonnegative with zero diagonal
+    diag = np.arange(adj.n)
+    data = -w[rows, cols] * (inv_sqrt[rows] * inv_sqrt[cols])
+    return sparse.csr_array(
+        (
+            np.concatenate([data, np.ones(adj.n)]),
+            (np.concatenate([rows, diag]), np.concatenate([cols, diag])),
+        ),
+        shape=(adj.n, adj.n),
+    )
 
 
 def laplacian_eigenvalues(adj: Adjacency) -> np.ndarray:
@@ -43,16 +66,64 @@ def laplacian_eigenvalues(adj: Adjacency) -> np.ndarray:
     return np.linalg.eigvalsh(normalized_laplacian(adj))
 
 
-# From this many vertices on, the bottom eigenpairs come from a subset solve
-# (scipy.linalg.eigh, LAPACK syevr), which skips the other N - k eigenvectors.
-# Solve alone, k=4, 2 vCPUs, against np.linalg.eigh: N=1000 0.20-0.24 ->
-# 0.11-0.14 s, N=2400 1.71-1.79 -> 0.76-0.79 s. Smaller graphs keep numpy's
-# full eigh and slice: scipy's LAPACK runs on scipy's own OpenBLAS thread
-# pool, separate from numpy's, and waking it slowed a loop of N=150 SSC
-# graph + eigensolve from 0.160 to 0.185 s a job, far more than the solve
-# (3-5 ms) costs. ARPACK (eigsh) is not used: on TSC graphs with 6 zero
-# eigenvalues it returned only 4 of them.
-SUBSET_SOLVE_MIN_N = 1000
+# Graphs of this many vertices or more take the sparse path: the Laplacian as
+# CSR and one solve per connected component, by shift-invert ARPACK (eigsh)
+# on components of this size or more and by numpy's dense eigh below it.
+# ARPACK runs per component because a Krylov space finds a repeated
+# eigenvalue one copy at a time: on whole TSC graphs with 6 zero eigenvalues
+# it returned only 4 of them, and whole-graph shift-invert missed copies of
+# the 6-fold eigenvalues of 6 identical blocks in 6 of 10 seeds. Inside a
+# component the zero eigenvalue is simple. spectral_cluster with 6 clusters
+# on TSC graphs (q=8, 6 subspaces), 2 vCPUs, median per call, dense eigh
+# against the sparse path: N=150 12-14 against 13-15 ms, N=300 17 against
+# 19 ms, N=402 28-32 against 19-24 ms, N=600 52-54 against 23-26 ms, N=1000
+# 162-175 against 46-61 ms; at N=2400 the bottom 11 pairs take 0.14-0.19 s
+# against 0.70-0.75 s for the subset eigh (LAPACK syevr) this path replaced.
+# Graphs below the switch also stay off scipy's own OpenBLAS thread pool:
+# waking it slowed a loop of N=150 SSC graph + eigensolve from 0.160 to
+# 0.185 s a job.
+SPARSE_SOLVE_MIN_N = 400
+
+
+def _component_bottom_eigh(lap: sparse.csr_array, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bottom k eigenpairs, ascending, of one connected component's Laplacian."""
+    n = lap.shape[0]
+    # ARPACK's work grows with k: at n=1000 the dense solve took 0.18 s, eigsh
+    # 0.12 s for k=100 and 0.39 s for k=200
+    if n < SPARSE_SOLVE_MIN_N or 10 * k > n:
+        vals, vecs = np.linalg.eigh(lap.toarray())
+        return vals[:k], vecs[:, :k]
+    # sigma sits below the spectrum, so L - sigma*I is positive definite; a
+    # fixed start vector keeps repeated calls bitwise equal
+    v0 = np.random.default_rng(0).standard_normal(n)
+    vals, vecs = eigsh(lap, k, sigma=-1e-3, which="LM", v0=v0)
+    order = np.argsort(vals)
+    return vals[order], vecs[:, order]
+
+
+def _sparse_bottom_eigh(adj: Adjacency, k: int, eigvals_only: bool):
+    """The bottom k eigenpairs, solved per connected component and merged."""
+    lap = _sparse_laplacian(adj)
+    _, comp = csgraph.connected_components(lap, directed=False)
+    sizes = np.bincount(comp)
+    # isolated vertices: eigenvalue exactly 1 with the unit vector, all at once
+    isolated = np.flatnonzero(sizes[comp] == 1)[:k]
+    parts = [(np.ones(len(isolated)), isolated, np.eye(len(isolated)))]
+    for members in np.split(np.argsort(comp, kind="stable"), np.cumsum(sizes)[:-1]):
+        if len(members) > 1:
+            vals, vecs = _component_bottom_eigh(lap[members][:, members], min(k, len(members)))
+            parts.append((vals, members, vecs))
+    vals = np.concatenate([p[0] for p in parts])
+    keep = np.argsort(vals, kind="stable")[:k]
+    if eigvals_only:
+        return vals[keep]
+    out = np.zeros((adj.n, len(keep)))
+    start = 0
+    for part_vals, members, vecs in parts:
+        cols = np.flatnonzero((keep >= start) & (keep < start + len(part_vals)))
+        out[np.ix_(members, cols)] = vecs[:, keep[cols] - start]
+        start += len(part_vals)
+    return vals[keep], out
 
 
 def _bottom_eigh(adj: Adjacency, k: int, eigvals_only: bool = False):
@@ -60,12 +131,10 @@ def _bottom_eigh(adj: Adjacency, k: int, eigvals_only: bool = False):
 
     Like scipy.linalg.eigh, returns only the eigenvalues when eigvals_only.
     """
-    lap = normalized_laplacian(adj)
     k = min(k, adj.n)
-    if adj.n >= SUBSET_SOLVE_MIN_N:
-        return linalg.eigh(
-            lap, subset_by_index=[0, k - 1], eigvals_only=eigvals_only, overwrite_a=True
-        )
+    if adj.n >= SPARSE_SOLVE_MIN_N:
+        return _sparse_bottom_eigh(adj, k, eigvals_only)
+    lap = normalized_laplacian(adj)
     if eigvals_only:
         return np.linalg.eigvalsh(lap)[:k]
     vals, vecs = np.linalg.eigh(lap)

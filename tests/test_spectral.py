@@ -3,14 +3,19 @@ import pytest
 
 from rpcluster import (
     Adjacency,
+    TscConfig,
+    UnionModel,
     clustering_error,
     connected_components,
     eigengap_estimate,
+    generate,
     kmeans,
     laplacian_eigenvalues,
     normalized_laplacian,
+    random_orthonormal_basis,
     spectral,
     spectral_cluster,
+    tsc_adjacency,
 )
 
 
@@ -194,20 +199,20 @@ def large_block_graph(n):
     return Adjacency(w), sizes
 
 
-@pytest.mark.parametrize("offset", [-1, 0], ids=["numpy-eigh", "subset-eigh"])
+@pytest.mark.parametrize("offset", [-1, 0], ids=["numpy-eigh", "sparse"])
 def test_bottom_eigenpairs_on_large_block_graph(offset, monkeypatch):
-    n = spectral.SUBSET_SOLVE_MIN_N + offset
+    n = spectral.SPARSE_SOLVE_MIN_N + offset
     adj, sizes = large_block_graph(n)
-    subset_calls = []
-    scipy_eigh = spectral.linalg.eigh
+    sparse_calls = []
+    sparse_solve = spectral._sparse_bottom_eigh
     monkeypatch.setattr(
-        spectral.linalg,
-        "eigh",
-        lambda *a, **kw: subset_calls.append(kw["subset_by_index"]) or scipy_eigh(*a, **kw),
+        spectral,
+        "_sparse_bottom_eigh",
+        lambda adj, k, eigvals_only: sparse_calls.append(k) or sparse_solve(adj, k, eigvals_only),
     )
     result = spectral_cluster(adj, seed=0)
     assert eigengap_estimate(adj) == 6
-    assert subset_calls == ([] if offset < 0 else [[0, 10], [0, 10]])
+    assert sparse_calls == ([] if offset < 0 else [11, 11])
     assert result.n_clusters == 6
     # six repeated zeros, then the first nonzero eigenvalue
     full = np.linalg.eigvalsh(normalized_laplacian(adj))
@@ -218,16 +223,16 @@ def test_bottom_eigenpairs_on_large_block_graph(offset, monkeypatch):
 
 
 def test_both_eigensolvers_give_the_same_labels(monkeypatch):
-    adj, _ = large_block_graph(spectral.SUBSET_SOLVE_MIN_N)
-    subset = spectral_cluster(adj, n_clusters=6, seed=2)
-    monkeypatch.setattr(spectral, "SUBSET_SOLVE_MIN_N", adj.n + 1)
+    adj, _ = large_block_graph(spectral.SPARSE_SOLVE_MIN_N)
+    sparse = spectral_cluster(adj, n_clusters=6, seed=2)
+    monkeypatch.setattr(spectral, "SPARSE_SOLVE_MIN_N", adj.n + 1)
     dense = spectral_cluster(adj, n_clusters=6, seed=2)
-    assert np.array_equal(subset.labels, dense.labels)
-    assert np.max(np.abs(subset.eigenvalues - dense.eigenvalues)) < 1e-12
+    assert np.array_equal(sparse.labels, dense.labels)
+    assert np.max(np.abs(sparse.eigenvalues - dense.eigenvalues)) < 1e-12
 
 
 def test_large_graph_cluster_count_checked_before_solve(monkeypatch):
-    adj, _ = large_block_graph(spectral.SUBSET_SOLVE_MIN_N)
+    adj, _ = large_block_graph(spectral.SPARSE_SOLVE_MIN_N)
 
     def no_solve(*args, **kwargs):
         raise AssertionError("eigensolve ran before the range check")
@@ -236,3 +241,114 @@ def test_large_graph_cluster_count_checked_before_solve(monkeypatch):
     for bad in (0, adj.n + 1):
         with pytest.raises(ValueError, match=f"cluster count {bad} is out of range"):
             spectral_cluster(adj, n_clusters=bad)
+
+
+def connected_tsc_graph():
+    """TSC graph (q=8) of 3 x 200 points on random 5-dim subspaces of R^10: one component."""
+    bases = [random_orthonormal_basis(10, 5, seed) for seed in range(3)]
+    data = generate(UnionModel(bases, (200, 200, 200), seed=3))
+    return tsc_adjacency(data.points, TscConfig(q=8))
+
+
+def counting_eigsh(monkeypatch):
+    """Replace spectral.eigsh by a wrapper that counts its calls; returns the count list."""
+    calls = []
+    eigsh = spectral.eigsh
+    monkeypatch.setattr(spectral, "eigsh", lambda *a, **kw: calls.append(1) or eigsh(*a, **kw))
+    return calls
+
+
+def test_sparse_solve_is_bitwise_repeatable(monkeypatch):
+    adj = connected_tsc_graph()
+    assert adj.n >= spectral.SPARSE_SOLVE_MIN_N
+    assert connected_components(adj).max() == 0
+    calls = counting_eigsh(monkeypatch)
+    first = spectral_cluster(adj, seed=0)
+    second = spectral_cluster(adj, seed=0)
+    assert len(calls) == 2  # ARPACK ran, from its fixed start vector
+    assert np.array_equal(first.labels, second.labels)
+    assert np.array_equal(first.eigenvalues, second.eigenvalues)
+    vals_a, vecs_a = spectral._bottom_eigh(adj, 7)
+    vals_b, vecs_b = spectral._bottom_eigh(adj, 7)
+    assert np.array_equal(vals_a, vals_b)
+    assert np.array_equal(vecs_a, vecs_b)
+
+
+def identical_blocks(n_blocks, size, seed):
+    """n_blocks copies of one random-weight block: every eigenvalue n_blocks-fold."""
+    rng = np.random.default_rng(seed)
+    block = rng.uniform(0.5, 1.0, (size, size))
+    block = (block + block.T) / 2
+    np.fill_diagonal(block, 0.0)
+    return Adjacency(np.kron(np.eye(n_blocks), block))
+
+
+@pytest.mark.parametrize("arpack_blocks", [False, True], ids=["dense-blocks", "arpack-blocks"])
+def test_repeated_eigenvalue_across_components(arpack_blocks, monkeypatch):
+    # seed 0 is one where a single shift-invert eigsh on the whole graph finds
+    # only 4 of the 6 copies of the first nonzero eigenvalue (error 7.6e-4)
+    adj = identical_blocks(6, 200, seed=0)
+    assert adj.n >= spectral.SPARSE_SOLVE_MIN_N
+    calls = counting_eigsh(monkeypatch)
+    if arpack_blocks:
+        monkeypatch.setattr(spectral, "SPARSE_SOLVE_MIN_N", 200)
+    vals = spectral._bottom_eigh(adj, 12, eigvals_only=True)
+    full = np.linalg.eigvalsh(normalized_laplacian(adj))
+    assert np.max(np.abs(vals - full[:12])) < 1e-12
+    assert np.all(np.abs(vals[:6]) < 1e-12)
+    assert full[6] > 0.5
+    assert np.max(np.abs(vals[6:] - full[6])) < 1e-12  # all six copies
+    assert eigengap_estimate(adj, l_max=11) == 6
+    assert len(calls) == (12 if arpack_blocks else 0)  # one eigsh per block and solve
+
+
+def complete_graph(n):
+    w = np.ones((n, n))
+    np.fill_diagonal(w, 0.0)
+    return Adjacency(w)
+
+
+def cycle_graph(n):
+    w = np.zeros((n, n))
+    i = np.arange(n)
+    w[i, (i + 1) % n] = w[(i + 1) % n, i] = 1.0
+    return Adjacency(w)
+
+
+@pytest.mark.parametrize("graph", [complete_graph, cycle_graph], ids=["complete", "cycle"])
+def test_repeated_eigenvalue_within_one_component(graph, monkeypatch):
+    # one component whose nonzero eigenvalues repeat: n-1 copies of n/(n-1)
+    # on the complete graph, pairs 1 - cos(2 pi j / n) on the cycle
+    adj = graph(600)
+    calls = counting_eigsh(monkeypatch)
+    vals = spectral._bottom_eigh(adj, 7, eigvals_only=True)
+    full = np.linalg.eigvalsh(normalized_laplacian(adj))
+    assert np.max(np.abs(vals - full[:7])) < 1e-12
+    assert len(calls) == 1
+
+
+def assert_bottom_pairs_match_dense(adj, k):
+    lap = normalized_laplacian(adj)
+    vals, vecs = spectral._bottom_eigh(adj, k)
+    assert np.max(np.abs(vals - np.linalg.eigvalsh(lap)[:k])) < 1e-12
+    assert np.max(np.abs(vecs.T @ vecs - np.eye(k))) < 1e-12
+    assert np.max(np.abs(lap @ vecs - vecs * vals)) < 1e-12
+
+
+def test_all_isolated_vertices():
+    n = 2400
+    adj = Adjacency(np.zeros((n, n)))
+    vals, vecs = spectral._bottom_eigh(adj, 11)
+    assert np.array_equal(vals, np.ones(11))
+    assert np.array_equal(vecs, np.eye(n)[:, :11])
+    assert_bottom_pairs_match_dense(adj, 11)
+
+
+def test_tsc_graph_with_many_components():
+    # q=1 on standard-normal points in R^20: a forest of 144 small components
+    x = np.random.default_rng(0).standard_normal((20, 2400))
+    adj = tsc_adjacency(x, TscConfig(q=1))
+    n_comp = connected_components(adj).max() + 1
+    assert n_comp == 144
+    for k in (11, 200):
+        assert_bottom_pairs_match_dense(adj, k)
