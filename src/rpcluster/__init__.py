@@ -29,9 +29,9 @@ from .project import (
     is_identity,
     jl_distortion_survey,
 )
+from .graph import Adjacency
 from .ssc import (
     SscConfig,
-    Adjacency,
     SscColumnInfo,
     ssc_coefficients,
     ssc_adjacency,

@@ -19,10 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from . import io as dataio
+from .graph import Adjacency
 from .metrics import TheoremReport, clustering_error, false_connections, theorem_report
 from .project import KINDS, ProjectorCalibration, apply, make_projector
 from .spectral import ClusteringResult, spectral_cluster
-from .ssc import SSC_MODES, Adjacency, SscConfig, check_columns, ssc_adjacency
+from .ssc import SSC_MODES, SscConfig, check_columns, ssc_adjacency
 from .synth import (
     DataSet,
     UnionModel,

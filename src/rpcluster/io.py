@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .ssc import Adjacency
+from .graph import Adjacency
 from .synth import DataSet
 
 FLOAT_FMT = "{:.17g}"
@@ -111,11 +111,20 @@ def read_dataset(points_path, labels_path=None) -> DataSet:
 
 
 def write_adjacency_csv(path, adj: Adjacency) -> None:
-    """Write the full N x N weight matrix, one matrix row per CSV row."""
+    """Write the full N x N weight matrix, one matrix row per CSV row.
+
+    Rows are streamed from the sparse weights, zeros written as "0".
+    """
+    w = adj.weights
+    zero = FLOAT_FMT.format(0.0)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        for row in adj.weights:
-            writer.writerow([FLOAT_FMT.format(v) for v in row])
+        for i in range(adj.n):
+            lo, hi = w.indptr[i], w.indptr[i + 1]
+            row = [zero] * adj.n
+            for j, v in zip(w.indices[lo:hi], w.data[lo:hi]):
+                row[j] = FLOAT_FMT.format(v)
+            writer.writerow(row)
 
 
 def read_adjacency_csv(path) -> Adjacency:

@@ -5,10 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linear_sum_assignment
 
 from .project import Projector, ProjectorCalibration, is_identity, project_columns
-from .ssc import Adjacency
+from .graph import Adjacency
 from .synth import SubspaceBasis, UnionModel, affinity
 
 # relative cutoff below which a projected basis counts as rank deficient
@@ -60,7 +61,7 @@ def false_connections(adj: Adjacency, truth) -> FalseConnectionReport:
     truth = np.asarray(truth)
     if truth.shape != (adj.n,):
         raise ValueError("truth labels must have one entry per vertex")
-    iu, ju = np.nonzero(np.triu(adj.weights > 0, k=1))
+    iu, ju = sparse.triu(adj.weights, k=1).nonzero()  # stored entries are positive
     return FalseConnectionReport(
         count=int(np.count_nonzero(truth[iu] != truth[ju])),
         total_edges=iu.size,

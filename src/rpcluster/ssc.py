@@ -23,11 +23,13 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import dataclass, fields as dataclass_fields
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
 
+from .graph import Adjacency
 from .synth import check_finite_columns
 
 SSC_MODES = ("lasso_admm", "exact_l1")
@@ -60,27 +62,6 @@ class SscConfig:
                 f"alpha must exceed 1, got {self.alpha}: at lambda_j = mu_j/alpha >= mu_j "
                 "every lasso column is exactly zero"
             )
-
-
-@dataclass(frozen=True)
-class Adjacency:
-    """Symmetric nonnegative affinity matrix with zero diagonal."""
-
-    weights: np.ndarray
-    n: int = field(init=False)
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise ValueError("adjacency must be a square matrix")
-        if not np.array_equal(w, w.T):
-            raise ValueError("adjacency must be exactly symmetric")
-        if np.any(w < 0):
-            raise ValueError("adjacency weights must be nonnegative")
-        if np.any(np.diag(w) != 0):
-            raise ValueError("adjacency diagonal must be zero")
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "n", w.shape[0])
 
 
 @dataclass
@@ -329,8 +310,7 @@ def ssc_coefficients(
 
 def adjacency_from_coefficients(z: np.ndarray) -> Adjacency:
     """Symmetrize a coefficient matrix into |Z| + |Z|^T."""
-    z = np.asarray(z, dtype=float)
-    a = np.abs(z)
+    a = sparse.csr_array(np.abs(np.asarray(z, dtype=float)))
     return Adjacency(a + a.T)
 
 

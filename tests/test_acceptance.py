@@ -168,7 +168,7 @@ def test_criterion_3_tsc_equals_dense_oracle():
             for _, i in scored[:q]:
                 cos = abs(float(x[:, j] @ x[:, i])) / (norms[i] * norms[j])
                 z[i, j] = math.exp(-2.0 * math.acos(min(1.0, cos)))
-        worst = max(worst, float(np.max(np.abs(adj.weights - (z + z.T)))))
+        worst = max(worst, float(np.max(np.abs(adj.weights.toarray() - (z + z.T)))))
     ok = worst < 1e-12
     line = report(3, ok, f"50 instances, max |A - dense oracle| {worst:.2e}")
     assert ok, line

@@ -1,0 +1,38 @@
+import tracemalloc
+
+import numpy as np
+
+from rpcluster import (
+    TscConfig,
+    UnionModel,
+    false_connections,
+    generate,
+    random_orthonormal_basis,
+    spectral_cluster,
+    tsc_adjacency,
+)
+
+# one N x N float64 array at N=6000 is 288 MB
+STAGE_PEAK_MB = 32
+
+
+def test_tsc_spectral_metrics_memory_is_bounded():
+    # 4 random 3-dim subspaces of R^20, 1500 points each: N = 6000
+    bases = tuple(random_orthonormal_basis(20, 3, seed) for seed in range(4))
+    data = generate(UnionModel(bases, (1500,) * 4, seed=0))
+    peaks = {}
+    tracemalloc.start()
+    try:
+        adj = tsc_adjacency(data, TscConfig(q=6))
+        peaks["tsc_adjacency"] = tracemalloc.get_traced_memory()[1] / 1e6
+        tracemalloc.reset_peak()
+        result = spectral_cluster(adj, 4)
+        peaks["spectral_cluster"] = tracemalloc.get_traced_memory()[1] / 1e6
+        tracemalloc.reset_peak()
+        report = false_connections(adj, data.labels)
+        peaks["false_connections"] = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    assert result.labels.shape == (6000,)
+    assert report.total_edges > 0
+    assert max(peaks.values()) <= STAGE_PEAK_MB, peaks

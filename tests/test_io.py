@@ -118,7 +118,7 @@ def test_adjacency_round_trip(tmp_path):
     path = tmp_path / "adj.csv"
     write_adjacency_csv(path, Adjacency(w))
     back = read_adjacency_csv(path)
-    assert np.array_equal(back.weights, w)
+    assert np.array_equal(back.weights.toarray(), w)
 
 
 def test_read_adjacency_rejects_asymmetric(tmp_path):

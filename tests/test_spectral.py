@@ -128,7 +128,7 @@ def test_spectral_matches_component_oracle_on_ideal_graphs(n_blocks):
     sizes = [int(s) for s in rng.integers(4, 9, size=n_blocks)]
     adj = block_adjacency(sizes, rng=rng)
     result = spectral_cluster(adj, seed=1)
-    oracle = union_find_components(adj.weights)
+    oracle = union_find_components(adj.weights.toarray())
     assert result.n_clusters == n_blocks
     assert clustering_error(result.labels, oracle) == 0.0
 
@@ -144,7 +144,7 @@ def test_spectral_cluster_metadata_and_eigenvalues():
 def test_connected_components_labels():
     adj = block_adjacency([4, 3, 5])
     labels = connected_components(adj)
-    assert np.array_equal(labels, union_find_components(adj.weights))
+    assert np.array_equal(labels, union_find_components(adj.weights.toarray()))
     rng = np.random.default_rng(5)
     for _ in range(20):
         w = (rng.uniform(0, 1, (15, 15)) < 0.08).astype(float)
@@ -195,7 +195,7 @@ def large_block_graph(n):
     sizes = [(n - 2) // 6] * 5
     sizes.append(n - 2 - sum(sizes))
     w = np.zeros((n, n))
-    w[: n - 2, : n - 2] = block_adjacency(sizes, rng=rng).weights
+    w[: n - 2, : n - 2] = block_adjacency(sizes, rng=rng).weights.toarray()
     return Adjacency(w), sizes
 
 
@@ -315,16 +315,34 @@ def cycle_graph(n):
     return Adjacency(w)
 
 
-@pytest.mark.parametrize("graph", [complete_graph, cycle_graph], ids=["complete", "cycle"])
-def test_repeated_eigenvalue_within_one_component(graph, monkeypatch):
+def star_graph(n):
+    """A hub joined to vertex 0 of each of 6 identical random-weight blocks of n/6 vertices."""
+    size = n // 6
+    blocks = identical_blocks(6, size, seed=0).weights.toarray()
+    w = np.zeros((n + 1, n + 1))
+    w[:n, :n] = blocks
+    w[n, np.arange(6) * size] = w[np.arange(6) * size, n] = 1.0
+    return Adjacency(w)
+
+
+@pytest.mark.parametrize(
+    "graph, ks",
+    [(complete_graph, (7,)), (cycle_graph, (7,)), (star_graph, (6, 11, 12))],
+    ids=["complete", "cycle", "star"],
+)
+def test_repeated_eigenvalue_within_one_component(graph, ks, monkeypatch):
     # one component whose nonzero eigenvalues repeat: n-1 copies of n/(n-1)
-    # on the complete graph, pairs 1 - cos(2 pi j / n) on the cycle
+    # on the complete graph, pairs 1 - cos(2 pi j / n) on the cycle, 5-fold
+    # ones on the star; asking eigsh for exactly k=11 or 12 pairs of the star
+    # returned the next distinct eigenvalue for the last copy (errors 6.1e-5
+    # and 2.1e-4)
     adj = graph(600)
     calls = counting_eigsh(monkeypatch)
-    vals = spectral._bottom_eigh(adj, 7, eigvals_only=True)
     full = np.linalg.eigvalsh(normalized_laplacian(adj))
-    assert np.max(np.abs(vals - full[:7])) < 1e-12
-    assert len(calls) == 1
+    for k in ks:
+        vals = spectral._bottom_eigh(adj, k, eigvals_only=True)
+        assert np.max(np.abs(vals - full[:k])) < 1e-12
+    assert len(calls) == len(ks)
 
 
 def assert_bottom_pairs_match_dense(adj, k):

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.linalg import cho_factor, cho_solve
 
 from rpcluster import (
@@ -10,6 +11,7 @@ from rpcluster import (
     SscConfig,
     UnionModel,
     adjacency_from_coefficients,
+    false_connections,
     generate,
     make_projector,
     project_columns,
@@ -166,18 +168,18 @@ def test_orthogonal_lines_no_cross_block_weight():
     model = UnionModel((SubspaceBasis(u), SubspaceBasis(v)), (4, 4), seed=1)
     data = generate(model)
     adj = ssc_adjacency(data.points, EXACT)
-    assert np.max(adj.weights[:4, 4:]) == 0.0
+    assert np.max(adj.weights.toarray()[:4, 4:]) == 0.0
     # every point leans on at least one of its own block
-    assert np.min(adj.weights[:4, :4].sum(axis=1)) > 0.0
-    assert np.min(adj.weights[4:, 4:].sum(axis=1)) > 0.0
+    assert np.min(adj.weights.toarray()[:4, :4].sum(axis=1)) > 0.0
+    assert np.min(adj.weights.toarray()[4:, 4:].sum(axis=1)) > 0.0
 
 
 def test_adjacency_from_strict_upper_triangle():
     z = np.triu(np.arange(16, dtype=float).reshape(4, 4) - 5.0, k=1)
     adj = adjacency_from_coefficients(z)
-    assert np.array_equal(adj.weights, np.abs(z) + np.abs(z).T)
-    assert np.array_equal(adj.weights, adj.weights.T)
-    assert np.all(np.diag(adj.weights) == 0)
+    assert np.array_equal(adj.weights.toarray(), np.abs(z) + np.abs(z).T)
+    assert np.array_equal(adj.weights.toarray(), adj.weights.toarray().T)
+    assert np.all(np.diag(adj.weights.toarray()) == 0)
 
 
 def test_admm_matches_lasso_oracle():
@@ -209,8 +211,8 @@ def test_admm_kkt_residual_small_when_pushed():
 def test_default_admm_recovers_block_structure():
     data = subspace_data(12, 2, (10, 10), seed=19)
     adj = ssc_adjacency(data.points)
-    cross = adj.weights[:10, 10:]
-    within = adj.weights[:10, :10]
+    cross = adj.weights.toarray()[:10, 10:]
+    within = adj.weights.toarray()[:10, :10]
     assert within.sum() > 20 * cross.sum()
 
 
@@ -387,6 +389,52 @@ def test_adjacency_validation():
         Adjacency(np.array([[1.0, 0.0], [0.0, 0.0]]))  # diagonal
     ok = Adjacency(np.array([[0.0, 2.0], [2.0, 0.0]]))
     assert ok.n == 2
+    for bad, message in (
+        ([[0.0, 1.0], [2.0, 0.0]], "exactly symmetric"),
+        ([[0.0, -1.0], [-1.0, 0.0]], "nonnegative"),
+        ([[1.0, 0.0], [0.0, 0.0]], "diagonal must be zero"),
+    ):
+        for fmt in (sparse.csr_array, sparse.coo_array):
+            with pytest.raises(ValueError, match=message):
+                Adjacency(fmt(np.array(bad)))
+    for value in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="adjacency weights must be finite"):
+            Adjacency(np.array([[0.0, value], [value, 0.0]]))
+        with pytest.raises(ValueError, match="adjacency weights must be finite"):
+            Adjacency(sparse.csr_array(np.array([[0.0, value], [value, 0.0]])))
+    # a dense matrix and its sparse copies give identical canonical CSR
+    rng = np.random.default_rng(3)
+    w = rng.uniform(0, 1, (9, 9)) * (rng.uniform(0, 1, (9, 9)) < 0.4)
+    w = np.triu(w, k=1)
+    w = w + w.T
+    dense = Adjacency(w).weights
+    # a COO copy with its entries shuffled and one split into two duplicates
+    coo = sparse.coo_array(w)
+    order = rng.permutation(coo.nnz)
+    rows, cols, data = coo.row[order], coo.col[order], coo.data[order]
+    rows, cols = np.append(rows, rows[0]), np.append(cols, cols[0])
+    data = np.append(data, data[0] / 2)
+    data[0] /= 2
+    shuffled = sparse.coo_array((data, (rows, cols)), shape=w.shape)
+    for other in (sparse.csr_array(w), sparse.csc_array(w), shuffled):
+        mine = Adjacency(other).weights
+        assert isinstance(mine, sparse.csr_array)
+        assert mine.has_canonical_format
+        assert np.array_equal(mine.indptr, dense.indptr)
+        assert np.array_equal(mine.indices, dense.indices)
+        assert np.array_equal(mine.data, dense.data)
+    # an explicitly stored zero at (0, 1) is not an edge, so not a false connection
+    w = sparse.csr_array(
+        (np.array([0.0, 0.0, 0.5, 0.5]), (np.array([0, 1, 1, 2]), np.array([1, 0, 2, 1]))),
+        shape=(3, 3),
+    )
+    assert w.nnz == 4
+    adj = Adjacency(w)
+    assert adj.weights.nnz == 2
+    assert w.nnz == 4  # the caller's matrix is left as it was
+    rep = false_connections(adj, [0, 1, 1])
+    assert rep.count == 0
+    assert rep.total_edges == 1
 
 
 def test_diagnostics_csv(tmp_path):

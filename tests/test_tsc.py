@@ -9,6 +9,7 @@ from rpcluster import (
     tsc_adjacency,
     tsc_neighbors,
 )
+from rpcluster import tsc
 
 
 def dense_adjacency_oracle(x, q):
@@ -71,13 +72,27 @@ def test_normalized_neighbors_match_brute_force_cosine_sort():
     assert np.array_equal(tsc_neighbors(scaled, config), nbrs)
 
 
-@pytest.mark.parametrize("normalize", [False, True])
-@pytest.mark.parametrize("q", [1, 5])
-def test_tied_neighbors_match_brute_force_sort(normalize, q):
+def score_in_blocks_of(rows, n, monkeypatch):
+    """Make _select score `rows` rows of an n-point input per block."""
+    monkeypatch.setattr(tsc, "BLOCK_ENTRIES", rows * n)
+
+
+TIE_CASES = [(q, normalize) for q in (1, 5) for normalize in (False, True)]
+
+
+@pytest.mark.parametrize(
+    "q, normalize, block_rows",
+    [pytest.param(q, norm, None, id=f"{q}-{norm}") for q, norm in TIE_CASES]
+    + [pytest.param(q, norm, 3, id=f"{q}-{norm}-3-row-blocks") for q, norm in TIE_CASES],
+)
+def test_tied_neighbors_match_brute_force_sort(q, normalize, block_rows, monkeypatch):
     # integer points in {-2..2}^3: exact products, so many rows have equal
     # scores at the q-th place and the tie rule decides the neighbor set
     x = np.random.default_rng(8).integers(-2, 3, size=(3, 60)).astype(float)
     x[:, ~x.any(axis=0)] = 1.0
+    if block_rows:
+        x = x[:, :59]  # the last block is short
+        score_in_blocks_of(block_rows, x.shape[1], monkeypatch)
     n = x.shape[1]
     norms = np.linalg.norm(x, axis=0)
 
@@ -103,19 +118,22 @@ def test_ties_break_toward_lower_index():
     assert nbrs[0].tolist() == [1]
 
 
-def test_adjacency_matches_dense_oracle():
+@pytest.mark.parametrize("block_rows", [None, 3], ids=["one-block", "3-row-blocks"])
+def test_adjacency_matches_dense_oracle(block_rows, monkeypatch):
     rng = np.random.default_rng(2)
     x = rng.standard_normal((8, 20))
     x /= np.linalg.norm(x, axis=0)
+    if block_rows:
+        score_in_blocks_of(block_rows, x.shape[1], monkeypatch)  # 20 = 6 * 3 + 2
     adj = tsc_adjacency(x, TscConfig(q=5))
-    assert np.max(np.abs(adj.weights - dense_adjacency_oracle(x, 5))) < 1e-12
+    assert np.max(np.abs(adj.weights.toarray() - dense_adjacency_oracle(x, 5))) < 1e-12
 
 
 def test_collinear_pair_weight():
     # mutual nearest neighbors on the same line: weight exp(0) = 1 each way
     x = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     adj = tsc_adjacency(x, TscConfig(q=1))
-    assert adj.weights[0, 1] == 2.0
+    assert adj.weights.toarray()[0, 1] == 2.0
 
 
 def test_orthogonal_pair_forced_weight():
@@ -124,7 +142,7 @@ def test_orthogonal_pair_forced_weight():
     x = np.array([[1.0, 0.0, s], [0.0, 1.0, s]])
     adj = tsc_adjacency(x, TscConfig(q=2))
     expected = 2.0 * np.exp(-np.pi)
-    assert abs(adj.weights[0, 1] - expected) < 1e-12
+    assert abs(adj.weights.toarray()[0, 1] - expected) < 1e-12
     assert abs(np.exp(-np.pi) - 0.043214) < 1e-6
 
 
@@ -132,14 +150,14 @@ def test_scale_invariance_exact_for_power_of_two():
     x = np.random.default_rng(3).standard_normal((6, 15))
     a = tsc_adjacency(x, TscConfig(q=4))
     b = tsc_adjacency(4.0 * x, TscConfig(q=4))
-    assert np.array_equal(a.weights, b.weights)
+    assert np.array_equal(a.weights.toarray(), b.weights.toarray())
 
 
 def test_scale_invariance_close_for_any_scale():
     x = np.random.default_rng(4).standard_normal((6, 15))
     a = tsc_adjacency(x, TscConfig(q=4))
     b = tsc_adjacency(10.0 * x, TscConfig(q=4))
-    assert np.max(np.abs(a.weights - b.weights)) < 1e-12
+    assert np.max(np.abs(a.weights.toarray() - b.weights.toarray())) < 1e-12
 
 
 def test_selection_uses_raw_products_by_default():
@@ -160,14 +178,14 @@ def test_every_point_keeps_at_least_q_connections():
         )
     )
     adj = tsc_adjacency(data, TscConfig(q=4))
-    assert np.min((adj.weights > 0).sum(axis=1)) >= 4
+    assert np.min((adj.weights.toarray() > 0).sum(axis=1)) >= 4
 
 
 def test_symmetry_and_zero_diagonal():
     x = np.random.default_rng(6).standard_normal((5, 12))
     adj = tsc_adjacency(x, TscConfig(q=3))
-    assert np.array_equal(adj.weights, adj.weights.T)
-    assert np.all(np.diag(adj.weights) == 0)
+    assert np.array_equal(adj.weights.toarray(), adj.weights.toarray().T)
+    assert np.all(np.diag(adj.weights.toarray()) == 0)
 
 
 def test_q_out_of_range():
