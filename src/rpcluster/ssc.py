@@ -1,22 +1,26 @@
 """Sparse self-representation: each point regressed on all others, l1-penalized.
 
-Two solver modes. "exact_l1" solves the equality-constrained problem
+Two programs, one solver. "exact_l1" is basis pursuit,
 
-    min ||z||_1  s.t.  x_j = X z,  z_j = 0
+    min ||z||_1  s.t.  x_j = X z,  z_j = 0,
 
-as a split-variable LP. "lasso_admm" solves the penalized variant
+and "lasso_admm" is the penalized variant
 
     min  lambda_j ||z||_1 + 1/2 ||x_j - X z||_2^2,  z_j = 0
 
 with the per-column weight lambda_j = mu_j / alpha where
 mu_j = max_{i != j} |<x_i, x_j>|. The lasso solution is zero for
 lambda >= mu_j, so alpha must exceed 1. Despite its name, which stays because
-it is a CLI choice and a CSV value, the mode is solved exactly by a lasso
-homotopy (Osborne, Presnell & Turlach 2000; Efron et al. 2004): each column
-follows its piecewise-linear solution path from lambda = mu_j down to
-lambda_j, a few steps per nonzero coefficient, on the Gram matrix
+it is a CLI choice and a CSV value, the lasso mode is not solved by ADMM.
+Both modes run a lasso homotopy (Osborne, Presnell & Turlach 2000; Efron et
+al. 2004): each column follows its piecewise-linear solution path from
+lambda = mu_j down, a few steps per nonzero coefficient, on the Gram matrix
 G = X^T X computed once. A step costs O(N |A|) for an active set A, and
-|A| <= rank(X) <= p for p-dimensional points.
+|A| <= rank(X) <= p for p-dimensional points. The lasso stops at lambda_j.
+Basis pursuit is the path's limit as lambda -> 0 (Donoho & Tsaig 2008): the
+path stops just above zero, the coefficients are solved on its support at
+lambda = 0, and the result is certified by a dual vector, or the point is
+reported as outside the span of the others.
 """
 
 from __future__ import annotations
@@ -27,15 +31,12 @@ from dataclasses import dataclass, fields as dataclass_fields
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
 
 from .graph import Adjacency
 from .synth import check_finite_columns
 
 SSC_MODES = ("lasso_admm", "exact_l1")
 
-# |z_i| above this counts as support when checking optimality certificates
-SUPPORT_TOL = 1e-9
 # a lasso path atom whose squared distance to the span of the active set is at
 # most this fraction of its squared norm counts as inside the span
 SPAN_TOL = 1e-10
@@ -44,6 +45,11 @@ SPAN_TOL = 1e-10
 MAX_PATH_STEPS = 10
 # largest lasso KKT residual, in units of lambda, a solved column may have
 PATH_KKT_TOL = 1e-9
+# exact_l1 follows the path down to lambda = EXACT_PATH_END * mu_j
+EXACT_PATH_END = 1e-9
+# largest basis pursuit residual, dual or relative primal, a solved column
+# may have; ill-conditioned columns reach a few 1e-9 in the dual
+EXACT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -52,7 +58,6 @@ class SscConfig:
 
     mode: str = "lasso_admm"
     alpha: float = 20.0
-    tol_abs: float = 1e-6  # exact_l1: largest accepted certificate violation
 
     def __post_init__(self):
         if self.mode not in SSC_MODES:
@@ -73,7 +78,7 @@ class SscColumnInfo:
     converged: bool
     iterations: int
     objective: float
-    kkt_residual: float | None = None
+    kkt_residual: float  # nan where no certificate is evaluated
     message: str = ""
 
 
@@ -86,56 +91,9 @@ def check_columns(x: np.ndarray) -> None:
         raise ValueError(f"column {bad} is identically zero")
 
 
-def _l1_kkt_residual(dictionary: np.ndarray, z: np.ndarray, nu: np.ndarray) -> float:
-    """Max violation of the l1 optimality certificate D^T nu.
-
-    At an optimum there is a dual vector with ||D^T nu||_inf <= 1 and
-    (D^T nu)_i = sign(z_i) on the support of z.
-    """
-    g = dictionary.T @ nu
-    viol = max(float(np.max(np.abs(g))) - 1.0, 0.0)
-    support = np.abs(z) > SUPPORT_TOL
-    if np.any(support):
-        viol = max(viol, float(np.max(np.abs(g[support] - np.sign(z[support])))))
-    return viol
-
-
-def _exact_l1_column(
-    dictionary: np.ndarray, target: np.ndarray, column: int, tol: float
-) -> tuple[np.ndarray, SscColumnInfo]:
-    n = dictionary.shape[1]
-    res = linprog(
-        np.ones(2 * n),
-        A_eq=np.hstack([dictionary, -dictionary]),
-        b_eq=target,
-        bounds=(0, None),
-        method="highs",
-    )
-    if res.status != 0:
-        info = SscColumnInfo(
-            column=column,
-            mode="exact_l1",
-            converged=False,
-            iterations=int(getattr(res, "nit", 0)),
-            objective=np.nan,
-            message=f"linprog status {res.status}: {res.message}",
-        )
-        return np.zeros(n), info
-    z = res.x[:n] - res.x[n:]
-    kkt = _l1_kkt_residual(dictionary, z, res.eqlin.marginals)
-    info = SscColumnInfo(
-        column=column,
-        mode="exact_l1",
-        converged=kkt <= tol,
-        iterations=int(res.nit),
-        objective=float(np.abs(z).sum()),
-        kkt_residual=kkt,
-    )
-    return z, info
-
-
 def _lasso_path_column(
-    gram: np.ndarray, j: int, lam_target: float
+    points: np.ndarray, gram: np.ndarray, rank: int, j: int, lam_target: float,
+    exact: bool = False,
 ) -> tuple[np.ndarray, SscColumnInfo]:
     """Lasso homotopy for column j, from lambda = mu_j down to lam_target.
 
@@ -147,7 +105,9 @@ def _lasso_path_column(
     dropped) or lambda reaches lam_target, where z is the exact solution.
     G_AA^{-1} is updated by bordering on entry, whose pivot is the entering
     atom's squared distance to the span of A, and by a Schur complement on a
-    drop.
+    drop. Once |A| = rank(X), A spans every atom and none may enter. With
+    exact=True the column is basis pursuit's: z is solved on the final
+    support at lambda = 0 and certified there.
     """
     n_pts = gram.shape[0]
     c = gram[j].copy()
@@ -183,8 +143,11 @@ def _lasso_path_column(
             if entering:
                 side, i_in = divmod(flat, n_pts)
                 b = inv @ gram[active, i_in]
-                pivot = gram[i_in, i_in] - gram[i_in, active] @ b
-                if pivot <= SPAN_TOL * gram[i_in, i_in]:
+                # from X, not G_ii - G_iA b, which cancels to rounding noise
+                # as G_AA grows ill-conditioned
+                resid = points[:, i_in] - points[:, active] @ b
+                pivot = resid @ resid
+                if len(active) == rank or pivot <= SPAN_TOL * gram[i_in, i_in]:
                     # in the span of A, i_in holds KKT with a zero coefficient
                     blocked[:, i_in] = True
                     held += [i_in, n_pts + i_in]
@@ -219,30 +182,57 @@ def _lasso_path_column(
     if reached:
         # re-solve on the support and signs the path found, free of the
         # rounding the inverse updates gathered; a coefficient that is zero
-        # at lam_target may come out at rounding level with the wrong sign
-        z_a = np.linalg.solve(gram[np.ix_(active, active)], gram[active, j] - lam_target * s)
+        # at the end may come out at rounding level with the wrong sign.
+        # At lambda = 0 this is least squares on X_A, which keeps the
+        # conditioning of X_A where G_AA would square it.
+        if exact:
+            z_a = np.linalg.lstsq(points[:, active], points[:, j], rcond=None)[0]
+        else:
+            z_a = np.linalg.solve(gram[np.ix_(active, active)], gram[active, j] - lam_target * s)
         z_a[s * z_a <= 0] = 0.0
-    # certificate: g = X_{-j}^T (x_j - X z) in lam_target * subgradient(|z|_1)
-    g = gram[j] - z_a @ gram[active]
-    fit = g[j] - z_a @ g[active]  # ||x_j - X z||^2
-    g[j] = 0.0
-    on = z_a != 0
-    kkt = max(
-        float(np.abs(g).max()) / lam_target - 1.0,
-        float(np.abs(g[active][on] / lam_target - np.sign(z_a[on])).max(initial=0.0)),
-        0.0,
-    )
     message = "" if reached else "path step cap reached"
-    if reached and kkt > PATH_KKT_TOL:
-        message = f"KKT residual {kkt:.1e} above {PATH_KKT_TOL:.0e}"
+    if exact:
+        # certificate: nu with X_A^T nu = s (nu = X_A G_AA^{-1} s, the lasso's
+        # residual / lambda), so z is optimal if |X^T nu| <= 1 off A and
+        # x_j = X z. The primal residual is taken from X: its Gram form
+        # sqrt(G_jj - 2 z^T G_Aj + z^T G_AA z) loses half the digits to
+        # cancellation.
+        x_a = points[:, active]
+        g = points.T @ np.linalg.lstsq(x_a.T, s, rcond=None)[0]
+        g[j] = 0.0
+        on_a = float(np.abs(g[active] - s).max())
+        g[active] = 0.0
+        target = points[:, j]
+        primal = float(np.linalg.norm(target - x_a @ z_a) / np.linalg.norm(target))
+        kkt = max(float(np.abs(g).max()) - 1.0, on_a, primal, 0.0)
+        objective = float(np.abs(z_a).sum())
+        if reached and primal > EXACT_TOL:
+            message = "point is not in the span of the others"
+            z_a, objective = np.zeros_like(z_a), np.nan
+        elif reached and kkt > EXACT_TOL:
+            message = f"certificate residual {kkt:.1e} above {EXACT_TOL:.0e}"
+    else:
+        # certificate: g = X_{-j}^T (x_j - X z) in lam_target * subgradient(|z|_1)
+        g = gram[j] - z_a @ gram[active]
+        fit = g[j] - z_a @ g[active]  # ||x_j - X z||^2
+        g[j] = 0.0
+        on = z_a != 0
+        kkt = max(
+            float(np.abs(g).max()) / lam_target - 1.0,
+            float(np.abs(g[active][on] / lam_target - np.sign(z_a[on])).max(initial=0.0)),
+            0.0,
+        )
+        objective = float(lam_target * np.abs(z_a).sum() + 0.5 * fit)
+        if reached and kkt > PATH_KKT_TOL:
+            message = f"KKT residual {kkt:.1e} above {PATH_KKT_TOL:.0e}"
     z = np.zeros(n_pts)
     z[active] = z_a
     return z, SscColumnInfo(
         column=j,
-        mode="lasso_admm",
+        mode="exact_l1" if exact else "lasso_admm",
         converged=not message,
         iterations=steps,
-        objective=float(lam_target * np.abs(z_a).sum() + 0.5 * fit),
+        objective=objective,
         kkt_residual=kkt,
         message=message,
     )
@@ -256,8 +246,9 @@ def ssc_coefficients(
     Returns the N x N coefficient matrix Z with zero diagonal (column j holds
     the representation of x_j in terms of the other points). With
     return_info=True also returns a list of per-column SscColumnInfo.
-    Columns whose solver fails or stalls are kept at the best iterate and
-    reported via a warning.
+    Columns whose path stalls or fails its certificate are kept at the last
+    iterate, and points orthogonal to all others, or (for exact_l1) outside
+    the span of the others, get a zero column; all are reported via a warning.
     """
     if config is None:
         config = SscConfig()
@@ -271,29 +262,28 @@ def ssc_coefficients(
 
     z_full = np.zeros((n_pts, n_pts))
     infos = []
-    if config.mode == "lasso_admm":
-        # lambda_j = mu_j / alpha, with mu_j = max_{i != j} |G_ij|
-        gram = x.T @ x
-        mu = np.abs(gram - np.diag(np.diag(gram))).max(axis=0)
-        for j in range(n_pts):
-            if mu[j] == 0:
-                info = SscColumnInfo(
-                    column=j,
-                    mode="lasso_admm",
-                    converged=False,
-                    iterations=0,
-                    objective=0.0,
-                    message="point is orthogonal to all others",
-                )
-            else:
-                z_full[:, j], info = _lasso_path_column(gram, j, mu[j] / config.alpha)
-            infos.append(info)
-    else:
-        for j in range(n_pts):
-            others = np.concatenate([np.arange(j), np.arange(j + 1, n_pts)])
-            coef, info = _exact_l1_column(x[:, others], x[:, j], j, config.tol_abs)
-            z_full[others, j] = coef
-            infos.append(info)
+    # mu_j = max_{i != j} |G_ij|, where every path starts
+    gram = x.T @ x
+    rank = np.linalg.matrix_rank(x)
+    mu = np.abs(gram - np.diag(np.diag(gram))).max(axis=0)
+    for j in range(n_pts):
+        if mu[j] == 0:
+            info = SscColumnInfo(
+                column=j,
+                mode=config.mode,
+                converged=False,
+                iterations=0,
+                objective=0.0,
+                kkt_residual=np.nan,
+                message="point is orthogonal to all others",
+            )
+        elif config.mode == "exact_l1":
+            z_full[:, j], info = _lasso_path_column(
+                x, gram, rank, j, EXACT_PATH_END * mu[j], exact=True
+            )
+        else:
+            z_full[:, j], info = _lasso_path_column(x, gram, rank, j, mu[j] / config.alpha)
+        infos.append(info)
 
     bad = [i.column for i in infos if not i.converged]
     if bad:

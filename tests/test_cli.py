@@ -100,6 +100,25 @@ def test_cluster_unprojected_tsc_recovers_truth(tmp_path, capsys):
     assert read_labels_csv(out_labels).shape == (10,)
 
 
+def test_cluster_ssc_exact_l1(tmp_path, capsys):
+    data, labels = run_gen(tmp_path, m=30, dims="3,3", counts="10,10", seed=2)
+    out_labels = tmp_path / "pred.csv"
+    code = main([
+        "cluster",
+        "--data", str(data),
+        "--labels", str(labels),
+        "--algorithm", "ssc",
+        "--ssc-mode", "exact_l1",
+        "--clusters", "2",
+        "--out-labels", str(out_labels),
+    ])
+    assert code == 0
+    printed = capsys.readouterr().out
+    assert "ce=0.000000" in printed
+    assert "false_connections=0" in printed
+    assert read_labels_csv(out_labels).shape == (20,)
+
+
 def test_cluster_forced_single_cluster(tmp_path):
     data, _ = run_gen(tmp_path, seed=3)
     out_labels = tmp_path / "pred.csv"
@@ -267,6 +286,21 @@ def test_sweep_cli_end_to_end(tmp_path, capsys):
     assert len(summary) == 2
     assert list(summary[0]) == SUMMARY_FIELDS
     assert int(summary[0]["n"]) == 2
+
+
+def test_sweep_ssc_exact_l1(tmp_path):
+    out = tmp_path / "sweep.csv"
+    code = main([
+        "sweep",
+        "--m", "24", "--dims", "2,2", "--counts", "10,10",
+        "--kinds", "gaussian", "--p-values", "0,8",
+        "--algorithms", "ssc", "--ssc-mode", "exact_l1",
+        "--repetitions", "1", "--out", str(out),
+    ])
+    assert code == 0
+    rows = read_rows(out)
+    assert [r["p"] for r in rows] == ["0", "8"]
+    assert all(r["error"] == "" and r["false_connections"] == "0" for r in rows)
 
 
 def test_sweep_deterministic_outside_timing(tmp_path):

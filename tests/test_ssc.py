@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 from scipy.linalg import cho_factor, cho_solve
+from scipy.optimize import linprog
 
 from rpcluster import (
     Adjacency,
@@ -20,14 +21,40 @@ from rpcluster import (
     ssc_coefficients,
     write_diagnostics_csv,
 )
+from rpcluster.ssc import SSC_MODES
 
 EXACT = SscConfig(mode="exact_l1")
 
 
-def l1_oracle(dictionary, target):
-    """min ||z||_1 s.t. dictionary @ z = target, via cvxpy (not linprog)."""
-    import cvxpy
+def lp_objective(dictionary, target):
+    """min ||z||_1 s.t. dictionary @ z = target by HiGHS linprog, None if infeasible.
 
+    Split-variable form z = zp - zm with zp, zm >= 0: a simplex/interior-point
+    LP solver, independent of the homotopy in rpcluster.ssc.
+    """
+    n = dictionary.shape[1]
+    res = linprog(
+        np.ones(2 * n),
+        A_eq=np.hstack([dictionary, -dictionary]),
+        b_eq=target,
+        bounds=(0, None),
+        method="highs",
+    )
+    if res.status == 2:
+        return None
+    assert res.status == 0, res.message
+    return res.fun
+
+
+def l1_oracle(dictionary, target):
+    """Optimal value of min ||z||_1 s.t. dictionary @ z = target.
+
+    By cvxpy when it is installed, else by HiGHS linprog.
+    """
+    try:
+        import cvxpy
+    except ImportError:
+        return lp_objective(dictionary, target)
     z = cvxpy.Variable(dictionary.shape[1])
     prob = cvxpy.Problem(
         cvxpy.Minimize(cvxpy.norm1(z)), [dictionary @ z == target]
@@ -38,7 +65,7 @@ def l1_oracle(dictionary, target):
         except (cvxpy.SolverError, KeyError):
             continue
         if prob.status == "optimal":
-            return np.asarray(z.value).ravel(), prob.value
+            return prob.value
     raise RuntimeError("no oracle solver produced an optimal certificate")
 
 
@@ -126,12 +153,11 @@ def test_duplicate_point_is_its_own_representation():
 
 
 def test_exact_objective_matches_lp_oracle():
-    pytest.importorskip("cvxpy")
     data = subspace_data(6, 2, (6, 6), seed=0)
     z, infos = ssc_coefficients(data.points, EXACT, return_info=True)
     for j in (0, 3, 7, 11):
         dictionary = np.delete(data.points, j, axis=1)
-        oracle_z, oracle_obj = l1_oracle(dictionary, data.points[:, j])
+        oracle_obj = l1_oracle(dictionary, data.points[:, j])
         assert abs(infos[j].objective - oracle_obj) < 1e-6
         assert abs(np.abs(z[:, j]).sum() - oracle_obj) < 1e-6
 
@@ -331,12 +357,17 @@ def test_defaults_converge_without_warning():
 def test_orthogonal_point_is_reported_and_left_out():
     x = points_with_orthogonal_one()
     j = x.shape[1] - 1
-    with pytest.warns(RuntimeWarning):
-        z, infos = ssc_coefficients(x, return_info=True)
-    assert np.all(z[:, j] == 0.0) and np.all(z[j, :] == 0.0)
-    assert infos[j].iterations == 0 and not infos[j].converged
-    assert infos[j].message == "point is orthogonal to all others"
-    assert all(info.iterations > 0 for info in infos[:j])
+    for mode in SSC_MODES:
+        with pytest.warns(RuntimeWarning, match="for 1 of 13 columns"):
+            z, infos = ssc_coefficients(x, SscConfig(mode=mode), return_info=True)
+        assert np.all(z[:, j] == 0.0) and np.all(z[j, :] == 0.0)
+        assert infos[j].iterations == 0 and not infos[j].converged
+        assert infos[j].message == "point is orthogonal to all others"
+        assert infos[j].mode == mode
+        assert isinstance(infos[j].kkt_residual, float) and np.isnan(infos[j].kkt_residual)
+        assert all(info.iterations > 0 and info.converged for info in infos[:j])
+        # a summary over the columns must not trip on the orthogonal one
+        assert isinstance(max(info.kkt_residual for info in infos), float)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -378,6 +409,71 @@ def test_infeasible_exact_column_warns_and_zeroes():
         z, infos = ssc_coefficients(x, EXACT, return_info=True)
     assert np.all(z == 0.0)
     assert not any(info.converged for info in infos)
+
+
+# Found by search over 4 x 7 points whose last coordinate is small except in
+# point 0. Point 0 is in the span of the others only through that coordinate.
+# In the first set (sigma_min of the others 3.1e-4, basis pursuit objective
+# 990.7), the primal residual taken from X is 6e-14; taken from Gram terms,
+# sqrt(G_jj - 2 z^T G_Aj + z^T G_AA z), it is 7.8e-6, which would report the
+# point as outside the span. In the second (sigma_min 1.6e-4, objective
+# 100.7), an entering atom's pivot taken from Gram terms is rounding noise and
+# leaves a needed atom out (objective 107.9), and without the cap at rank(X)
+# a fifth atom enters in R^4 and the point is reported as outside the span.
+ILL_CONDITIONED_POINTS = np.array([
+    [0.8393, 0.15103, 0.79286, -0.8443, -0.88669, 0.36321, 0.55629],
+    [-0.41423, -0.86744, 0.54477, -0.13055, 0.01555, -0.92689, 0.37001],
+    [0.30926, -0.47407, -0.27312, 0.51972, 0.46211, -0.09464, 0.74406],
+    [-0.16837, 0.00013, -0.00024, 3e-05, -0.00029, 0.00016, 9e-05],
+])
+NEAR_RANK_POINTS = np.array([
+    [0.51634, 0.81468, -0.18463, 0.8453, 0.05543, -0.72814, 0.89598],
+    [-0.62272, 0.21009, -0.97981, 0.13938, 0.96083, -0.02666, 0.43609],
+    [0.58783, -0.54051, 0.07667, -0.51579, -0.27155, -0.68491, 0.08397],
+    [0.00824, 0.00011, -4e-05, 8e-05, 0.00011, -5e-05, -8e-05],
+])
+
+
+def hard_exact_inputs():
+    rng = np.random.default_rng(61)
+    base = rng.standard_normal((6, 10))
+    base /= np.linalg.norm(base, axis=0)
+    # an exact, a sign-flipped and two scaled duplicates
+    duplicates = np.hstack(
+        [base, base[:, [0]], -base[:, [3]], 0.5 * base[:, [5]], -3.0 * base[:, [7]]]
+    )
+    # 8 points of a 2-dim subspace of R^6 and 2 generic ones, which are
+    # outside the span of all others
+    mixed = np.hstack([subspace_data(6, 2, (8,), seed=67).points, rng.standard_normal((6, 2))])
+    return {
+        "duplicates": duplicates,
+        "integer_ties": TIE_POINTS,
+        "outside_span": mixed,
+        "ill_conditioned": ILL_CONDITIONED_POINTS,
+        "near_rank": NEAR_RANK_POINTS,
+    }
+
+
+@pytest.mark.parametrize("name", list(hard_exact_inputs()))
+def test_exact_path_matches_linprog_on_hard_inputs(name):
+    x = hard_exact_inputs()[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # outside_span's points
+        z, infos = ssc_coefficients(x, EXACT, return_info=True)
+    verdicts = []
+    for j, info in enumerate(infos):
+        lp = lp_objective(np.delete(x, j, axis=1), x[:, j])
+        verdicts.append(lp is not None)
+        if lp is None:
+            assert not info.converged
+            assert info.message == "point is not in the span of the others"
+            assert np.all(z[:, j] == 0.0)
+        else:
+            assert info.converged, info.message
+            assert abs(info.objective - lp) <= 1e-9 * lp
+            assert abs(np.abs(z[:, j]).sum() - lp) <= 1e-9 * lp
+            assert np.linalg.norm(x[:, j] - x @ z[:, j]) <= 1e-6 * np.linalg.norm(x[:, j])
+    assert sum(verdicts) == len(verdicts) - (2 if name == "outside_span" else 0)
 
 
 def test_adjacency_validation():
