@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 
 import numpy as np
 
@@ -26,10 +27,10 @@ def write_points_csv(path, points: np.ndarray) -> None:
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
         raise ValueError("points must be a 2-d array, one point per column")
+    # FLOAT_FMT's cells, and the "\r\n" line ends of csv.writer, which the
+    # other writers here use
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for col in points.T:
-            writer.writerow([FLOAT_FMT.format(v) for v in col])
+        np.savetxt(fh, points.T, fmt="%.17g", delimiter=",", newline="\r\n")
 
 
 def read_points_csv(path) -> np.ndarray:
@@ -38,6 +39,24 @@ def read_points_csv(path) -> np.ndarray:
     A cell that is not a finite number (text, nan, inf) is a ParseError
     naming its row and column.
     """
+    with open(path, newline="") as fh, warnings.catch_warnings():
+        # an empty file is the scan's "no data rows found", not a warning
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            values = np.loadtxt(
+                fh, delimiter=",", dtype=float, ndmin=2, quotechar='"', comments=None
+            )
+        except ValueError:
+            values = None
+    if values is not None and values.size and np.isfinite(values).all():
+        return values.T
+    # numpy refused the file, or read a non-finite value: the per-cell scan
+    # names the bad cell, or accepts the rare cell only Python's float reads
+    return _scan_points_csv(path)
+
+
+def _scan_points_csv(path) -> np.ndarray:
+    """read_points_csv cell by cell, with Python's float."""
     rows = []
     with open(path, newline="") as fh:
         for i, row in enumerate(csv.reader(fh), start=1):

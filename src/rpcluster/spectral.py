@@ -44,13 +44,14 @@ def normalized_laplacian(adj: Adjacency) -> np.ndarray:
     return lap
 
 
-def _sparse_laplacian(adj: Adjacency) -> sparse.csr_array:
-    """normalized_laplacian(adj) as CSR, entry for entry."""
+def _sparse_flipped_laplacian(adj: Adjacency) -> sparse.csr_array:
+    """2I - L = I + D^{-1/2} W D^{-1/2} as CSR: normalized_laplacian(adj) with
+    its off-diagonal negated and its diagonal 1 kept, entry for entry."""
     w = adj.weights
     inv_sqrt = _inv_sqrt_degree(w)
     rows = np.repeat(np.arange(adj.n), np.diff(w.indptr))
     off = sparse.csr_array(
-        (-w.data * (inv_sqrt[rows] * inv_sqrt[w.indices]), w.indices, w.indptr),
+        (w.data * (inv_sqrt[rows] * inv_sqrt[w.indices]), w.indices, w.indptr),
         shape=w.shape,
     )
     return off + sparse.csr_array(sparse.identity(adj.n, format="csr"))
@@ -61,57 +62,81 @@ def laplacian_eigenvalues(adj: Adjacency) -> np.ndarray:
     return np.linalg.eigvalsh(normalized_laplacian(adj))
 
 
-# Graphs of this many vertices or more take the sparse path: the Laplacian as
-# CSR and one solve per connected component, by shift-invert ARPACK (eigsh)
-# on components of this size or more and by numpy's dense eigh below it.
-# ARPACK runs per component because a Krylov space finds a repeated
-# eigenvalue one copy at a time: on whole TSC graphs with 6 zero eigenvalues
-# it returned only 4 of them, and whole-graph shift-invert missed copies of
-# the 6-fold eigenvalues of 6 identical blocks in 6 of 10 seeds. Inside a
-# component the zero eigenvalue is simple. spectral_cluster with 6 clusters
-# on TSC graphs (q=8, 6 subspaces), 2 vCPUs, median per call, dense eigh
-# against the sparse path: N=150 12-14 against 13-15 ms, N=300 17 against
-# 19 ms, N=402 28-32 against 19-24 ms, N=600 52-54 against 23-26 ms, N=1000
-# 162-175 against 46-61 ms; at N=2400 the bottom 11 pairs take 0.14-0.19 s
-# against 0.70-0.75 s for the subset eigh (LAPACK syevr) this path replaced.
-# Graphs below the switch also stay off scipy's own OpenBLAS thread pool:
-# waking it slowed a loop of N=150 SSC graph + eigensolve from 0.160 to
-# 0.185 s a job.
+# Graphs of this many vertices or more take the sparse path: 2I - L as CSR
+# and one solve per connected component, by Lanczos (ARPACK eigsh) on
+# components of this size or more and by numpy's dense eigh below it. ARPACK
+# runs per component because a Krylov space finds a repeated eigenvalue one
+# copy at a time: on whole TSC graphs with 6 zero eigenvalues it returned
+# only 4 of them, and whole-graph shift-invert missed copies of the 6-fold
+# eigenvalues of 6 identical blocks in 6 of 10 seeds. Inside a component the
+# zero eigenvalue is simple. spectral_cluster with 6 clusters on
+# one-component TSC graphs (6 subspaces of R^100, Gaussian p=20, q=8), 2
+# vCPUs, median per call, dense eigh against the sparse path: N=150 11-17
+# against 14-19 ms, N=200 16-22 against 15-22 ms, N=300 23-30 against
+# 19-23 ms, N=402 34-48 against 18-29 ms, N=600 67 against 23 ms, N=1000
+# 197 against 36 ms, N=2400 2.0 s against 0.095 s. The sparse path wins
+# from about N=250; the switch stays at 400, where the gain clears the
+# spread between runs. Graphs below the switch also stay off scipy's own
+# OpenBLAS thread pool: waking it slowed a loop of N=150 SSC graph +
+# eigensolve from 0.160 to 0.185 s a job.
 SPARSE_SOLVE_MIN_N = 400
 
+# Lanczos stops when every Ritz residual is at most LANCZOS_TOL times its
+# eigenvalue of 2I - L. At eigsh's default, machine epsilon, that test can be
+# out of reach: on complete graphs, whose nonzero eigenvalue repeats n - 1
+# times, ARPACK gave up with error 3 ("No shifts could be applied") in 11 of
+# 320 solves (n = 400..1000 in steps of 40, k = 2..21), and in 14 of 1920
+# over 40 restart seeds each (complete, cycle and star graphs of 400-1200
+# vertices, k = 2..40). At 1e-14 none raised; the largest residual entry was
+# 1e-12 (a cycle of 1000 at k=4, 2.9e-15 at the default), mostly below 4e-15.
+LANCZOS_TOL = 1e-14
 
-def _component_bottom_eigh(lap: sparse.csr_array, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bottom k eigenpairs, ascending, of one connected component's Laplacian."""
-    n = lap.shape[0]
-    # ARPACK's work grows with k: at n=1000 the dense solve took 0.18 s, eigsh
-    # 0.12 s for k=100 and 0.39 s for k=200
-    if n < SPARSE_SOLVE_MIN_N or 10 * k > n:
-        vals, vecs = np.linalg.eigh(lap.toarray())
+
+def _component_bottom_eigh(flipped: sparse.csr_array, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bottom k Laplacian eigenpairs, ascending, of one connected component,
+    given as its block of 2I - L."""
+    n = flipped.shape[0]
+    # Lanczos work grows faster than linearly in k. On one-component TSC
+    # graphs, Lanczos against the dense solve: k = n/15 at n=400 and 600, 25
+    # against 26 ms and 53 against 60 ms; k = n/20 at n=1000, 1500 and 2400,
+    # 158 against 185 ms, 488 against 431 ms and 1.6 against 2.4 s; k = n/10
+    # took 1.6-4.9x the dense time
+    if n < SPARSE_SOLVE_MIN_N or 20 * k > n:
+        lap = -flipped.toarray()
+        np.fill_diagonal(lap, 1.0)
+        vals, vecs = np.linalg.eigh(lap)
         return vals[:k], vecs[:, :k]
-    # sigma sits below the spectrum, so L - sigma*I is positive definite; a
-    # fixed start vector keeps repeated calls bitwise equal. Shift-invert can
-    # return the next distinct eigenvalue in place of the last copy of a
-    # repeated one inside a component, so it asks for 2k < n pairs and keeps
-    # the bottom k: on a hub joined to one vertex of each of 6 identical
-    # 100-vertex blocks (also 10 x 60 and 3 x 200; seeds 0-9, k = 2..21),
-    # asking for k was off by up to 0.86 in 143 of 600 cases, 2k in none
-    v0 = np.random.default_rng(0).standard_normal(n)
-    vals, vecs = eigsh(lap, 2 * k, sigma=-1e-3, which="LM", v0=v0)
-    order = np.argsort(vals)[:k]
-    return vals[order], vecs[:, order]
+    # L's spectrum lies in [0, 2], so its bottom is the top of the PSD matrix
+    # 2I - L, which plain Lanczos finds from products alone, with no factor.
+    # The start vector and the vectors ARPACK draws when it restarts come
+    # from one seeded generator (left alone, eigsh seeds the restarts from OS
+    # entropy), so repeated calls are bitwise equal. Lanczos can return the
+    # next distinct eigenvalue in place of the last copy of a repeated one
+    # inside a component, so it asks for 2k < n pairs and keeps the top k: on
+    # a hub joined to one vertex of each of 6 identical 100-vertex blocks
+    # (also 10 x 60 and 3 x 200; seeds 0-9, k = 2..21), asking for k was off
+    # by more than 1e-12 in 213 of 600 cases (by up to 0.98), 2k in none
+    # (4.1e-14 at most)
+    rng = np.random.default_rng(0)
+    v0 = rng.standard_normal(n)
+    vals, vecs = eigsh(flipped, 2 * k, which="LA", v0=v0, rng=rng, tol=LANCZOS_TOL)
+    order = np.argsort(-vals)[:k]
+    return 2.0 - vals[order], vecs[:, order]
 
 
 def _sparse_bottom_eigh(adj: Adjacency, k: int, eigvals_only: bool):
     """The bottom k eigenpairs, solved per connected component and merged."""
-    lap = _sparse_laplacian(adj)
-    _, comp = csgraph.connected_components(lap, directed=False)
+    flipped = _sparse_flipped_laplacian(adj)
+    _, comp = csgraph.connected_components(adj.weights, directed=False)
     sizes = np.bincount(comp)
     # isolated vertices: eigenvalue exactly 1 with the unit vector, all at once
     isolated = np.flatnonzero(sizes[comp] == 1)[:k]
     parts = [(np.ones(len(isolated)), isolated, np.eye(len(isolated)))]
     for members in np.split(np.argsort(comp, kind="stable"), np.cumsum(sizes)[:-1]):
         if len(members) > 1:
-            vals, vecs = _component_bottom_eigh(lap[members][:, members], min(k, len(members)))
+            vals, vecs = _component_bottom_eigh(
+                flipped[members][:, members], min(k, len(members))
+            )
             parts.append((vals, members, vecs))
     vals = np.concatenate([p[0] for p in parts])
     keep = np.argsort(vals, kind="stable")[:k]

@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from rpcluster import Adjacency, DataSet
 from rpcluster.io import (
     ParseError,
+    _scan_points_csv,
     read_adjacency_csv,
     read_dataset,
     read_labels_csv,
@@ -30,6 +33,69 @@ def test_points_round_trip_special_values(tmp_path):
     path = tmp_path / "pts.csv"
     write_points_csv(path, pts)
     assert np.array_equal(read_points_csv(path), pts)
+
+
+def test_write_points_bytes(tmp_path):
+    # the bytes `rpcluster gen` writes: %.17g cells, "," separators, CRLF ends
+    pts = np.array([[-0.0, 1e-300, 1e300], [np.pi, -np.e, 1.0]])
+    path = tmp_path / "pts.csv"
+    write_points_csv(path, pts)
+    assert path.read_bytes() == (
+        b"-0,3.1415926535897931\r\n"
+        b"1e-300,-2.7182818284590451\r\n"
+        b"1.0000000000000001e+300,1\r\n"
+    )
+
+
+def parse_outcome(read, path):
+    """(values, None) when read returns, (None, message) on a ParseError."""
+    try:
+        values = read(path)
+    except ParseError as exc:
+        return None, str(exc)
+    return values, None
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        b"1,2\n# comment\n3,4\n",
+        b"1,2\n   \n3,4\n",
+        b"\xef\xbb\xbf1,2\n3,4\n",
+        b"1,2,\n3,4,\n",
+        b"1,1e400\n",
+        b"1,infinity\n",
+        b"1_0,2\n3,4\n",
+        b'"1.5",2\n3,"-4e-3"\n',
+        b"1,2\r\n3,4\r\n",
+        b"1,2\n3,4",
+        b"1,2,3\n",
+        b"1\n2\n3\n",
+    ],
+    ids=[
+        "comment", "blank-line", "bom", "trailing-comma", "1e400", "infinity",
+        "underscore", "quoted", "crlf", "no-final-newline", "one-row", "one-column",
+    ],
+)
+def test_read_points_agrees_with_scan(tmp_path, text):
+    path = tmp_path / "pts.csv"
+    path.write_bytes(text)
+    values, message = parse_outcome(read_points_csv, path)
+    scan_values, scan_message = parse_outcome(_scan_points_csv, path)
+    assert message == scan_message
+    if scan_values is not None:
+        assert values.shape == scan_values.shape
+        assert np.array_equal(values, scan_values)
+
+
+@pytest.mark.parametrize("text", ["", "\n\n\n"], ids=["empty", "all-blank"])
+def test_read_points_no_data_warns_nothing(tmp_path, text):
+    path = tmp_path / "pts.csv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParseError):
+            read_points_csv(path)
 
 
 def test_read_points_ragged_row(tmp_path):

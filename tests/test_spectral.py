@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from rpcluster import (
     Adjacency,
@@ -274,6 +275,18 @@ def test_sparse_solve_is_bitwise_repeatable(monkeypatch):
     assert np.array_equal(vecs_a, vecs_b)
 
 
+def test_lanczos_non_convergence_raises(monkeypatch):
+    # one restart cycle is too few on this graph: ARPACK's error must reach the
+    # caller, never pairs it did not converge
+    adj = connected_tsc_graph()
+    eigsh = spectral.eigsh
+    monkeypatch.setattr(spectral, "eigsh", lambda *a, **kw: eigsh(*a, **{**kw, "maxiter": 1}))
+    with pytest.raises(ArpackNoConvergence):
+        spectral_cluster(adj, n_clusters=3, seed=0)
+    with pytest.raises(ArpackNoConvergence):
+        eigengap_estimate(adj)
+
+
 def identical_blocks(n_blocks, size, seed):
     """n_blocks copies of one random-weight block: every eigenvalue n_blocks-fold."""
     rng = np.random.default_rng(seed)
@@ -285,13 +298,14 @@ def identical_blocks(n_blocks, size, seed):
 
 @pytest.mark.parametrize("arpack_blocks", [False, True], ids=["dense-blocks", "arpack-blocks"])
 def test_repeated_eigenvalue_across_components(arpack_blocks, monkeypatch):
-    # seed 0 is one where a single shift-invert eigsh on the whole graph finds
-    # only 4 of the 6 copies of the first nonzero eigenvalue (error 7.6e-4)
-    adj = identical_blocks(6, 200, seed=0)
+    # a single shift-invert eigsh for 12 pairs of the whole graph misses
+    # copies of the first nonzero eigenvalue here (error 1.4e-4); blocks of
+    # 240 vertices are large enough for Lanczos at k=12 (20 * k <= n)
+    adj = identical_blocks(6, 240, seed=0)
     assert adj.n >= spectral.SPARSE_SOLVE_MIN_N
     calls = counting_eigsh(monkeypatch)
     if arpack_blocks:
-        monkeypatch.setattr(spectral, "SPARSE_SOLVE_MIN_N", 200)
+        monkeypatch.setattr(spectral, "SPARSE_SOLVE_MIN_N", 240)
     vals = spectral._bottom_eigh(adj, 12, eigvals_only=True)
     full = np.linalg.eigvalsh(normalized_laplacian(adj))
     assert np.max(np.abs(vals - full[:12])) < 1e-12
@@ -343,6 +357,16 @@ def test_repeated_eigenvalue_within_one_component(graph, ks, monkeypatch):
         vals = spectral._bottom_eigh(adj, k, eigvals_only=True)
         assert np.max(np.abs(vals - full[:k])) < 1e-12
     assert len(calls) == len(ks)
+
+
+@pytest.mark.parametrize("n, k", [(520, 11), (720, 8), (1000, 13)])
+def test_complete_graph_lanczos_converges(n, k):
+    # with Lanczos stopping at machine precision, ARPACK raised error 3 ("No
+    # shifts could be applied") on these and 8 more of 320 complete graphs
+    # (n = 400..1000 in steps of 40, k = 2..21)
+    vals = spectral._bottom_eigh(complete_graph(n), k, eigvals_only=True)
+    expected = np.r_[0.0, np.full(k - 1, n / (n - 1))]
+    assert np.max(np.abs(vals - expected)) < 1e-12
 
 
 def assert_bottom_pairs_match_dense(adj, k):
