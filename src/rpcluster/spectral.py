@@ -77,8 +77,9 @@ def laplacian_eigenvalues(adj: Adjacency) -> np.ndarray:
 # 197 against 36 ms, N=2400 2.0 s against 0.095 s. The sparse path wins
 # from about N=250; the switch stays at 400, where the gain clears the
 # spread between runs. Graphs below the switch also stay off scipy's own
-# OpenBLAS thread pool: waking it slowed a loop of N=150 SSC graph +
-# eigensolve from 0.160 to 0.185 s a job.
+# OpenBLAS thread pool: with the sparse path at N=150, a loop of N=150
+# lasso SSC graph + spectral_cluster (3 subspaces, Gaussian p=20) took
+# 0.031-0.035 s a job, against 0.021-0.027 s on the dense path.
 SPARSE_SOLVE_MIN_N = 400
 
 # Lanczos stops when every Ritz residual is at most LANCZOS_TOL times its

@@ -14,13 +14,19 @@ lambda >= mu_j, so alpha must exceed 1. Despite its name, which stays because
 it is a CLI choice and a CSV value, the lasso mode is not solved by ADMM.
 Both modes run a lasso homotopy (Osborne, Presnell & Turlach 2000; Efron et
 al. 2004): each column follows its piecewise-linear solution path from
-lambda = mu_j down, a few steps per nonzero coefficient, on the Gram matrix
-G = X^T X computed once. A step costs O(N |A|) for an active set A, and
-|A| <= rank(X) <= p for p-dimensional points. The lasso stops at lambda_j.
-Basis pursuit is the path's limit as lambda -> 0 (Donoho & Tsaig 2008): the
-path stops just above zero, the coefficients are solved on its support at
-lambda = 0, and the result is certified by a dual vector, or the point is
-reported as outside the span of the others.
+lambda = mu_j down, a few steps per nonzero coefficient. The lasso stops at
+lambda_j. Basis pursuit is the path's limit as lambda -> 0 (Donoho & Tsaig
+2008): the path stops just above zero, the coefficients are solved on its
+support at lambda = 0, and the result is certified by a dual vector, or the
+point is reported as outside the span of the others.
+
+Columns are solved in blocks of BLOCK_ENTRIES // N that take their path
+steps in lockstep, one numpy pass over the block per step. Every product
+comes from the p x N points X, never from the Gram matrix X^T X: a column's
+step costs O(N p), most of it in one BLAS product for the whole block, and
+its active set A has |A| <= rank(X) <= p atoms. Memory is
+O(BLOCK_ENTRIES + N p) plus the supports; ssc_adjacency builds its sparse
+graph from them, and only ssc_coefficients forms the dense N x N Z.
 """
 
 from __future__ import annotations
@@ -50,6 +56,16 @@ EXACT_PATH_END = 1e-9
 # largest basis pursuit residual, dual or relative primal, a solved column
 # may have; ill-conditioned columns reach a few 1e-9 in the dual
 EXACT_TOL = 1e-6
+# Correlation entries per block of columns: a block of B = BLOCK_ENTRIES // N
+# columns works on a few B x N arrays (correlations, the update a, and per
+# side the rates, ratios and masks), so the solver's memory does not grow
+# with N. A block takes as many passes as its longest path, so larger blocks
+# take fewer passes in all. ssc_coefficients on 2 vCPUs, median of interleaved calls
+# at 2^15, 2^16, 2^17 and 2^18 entries: N=150 (one block) 23 ms at each;
+# N=600, p=20 175, 132, 115 and 100 ms; N=2400, p=20 2.18, 1.82, 1.68 and
+# 1.54 s; N=2400, p=10 3.37, 2.52, 2.25 and 1.90 s. At 2^17, as in TSC, the
+# traced peak of ssc_adjacency at N=1200 is 7.6 MB.
+BLOCK_ENTRIES = 2**17
 
 
 @dataclass(frozen=True)
@@ -91,151 +107,340 @@ def check_columns(x: np.ndarray) -> None:
         raise ValueError(f"column {bad} is identically zero")
 
 
-def _lasso_path_column(
-    points: np.ndarray, gram: np.ndarray, rank: int, j: int, lam_target: float,
-    exact: bool = False,
-) -> tuple[np.ndarray, SscColumnInfo]:
-    """Lasso homotopy for column j, from lambda = mu_j down to lam_target.
+def _lasso_path_block(
+    x: np.ndarray, xt: np.ndarray, sq_norms: np.ndarray, rank: int,
+    cols: np.ndarray, c: np.ndarray, lam_end: np.ndarray,
+) -> tuple[np.ndarray, ...]:
+    """Lasso homotopy for columns cols, in lockstep, from lambda = mu_j down to lam_end.
 
-    The path starts with the arg-max atom of mu_j active and z = 0. On an
-    active set A with signs s, as lambda falls by gamma, z_A grows by gamma d
-    with G_AA d = s and the correlations c = X^T (x_j - X z) fall by
-    gamma G[:, A] d, so c_A stays lambda s. A step ends when an inactive
-    atom's |c_i| reaches lambda (it enters), an active z_k reaches zero (it is
-    dropped) or lambda reaches lam_target, where z is the exact solution.
+    c holds the block's correlations X_cols^T X with c[b, cols[b]] = 0 and
+    mu_j = max |c[b]| > 0; it is overwritten. Column j's path starts with the
+    arg-max atom of mu_j active and z = 0. On an active set A with signs s,
+    as lambda falls by gamma, z_A grows by gamma d with G_AA d = s
+    (G = X^T X) and the correlations c = X^T (x_j - X z) fall by gamma a,
+    a = X^T (X_A d), so c_A stays lambda s. A step ends when an inactive
+    atom's |c_i| reaches lambda (it enters; ties go to side +, c_i = lambda,
+    and then to the smaller index), an active z_k reaches zero (it is
+    dropped) or lambda reaches lam_end, where z is the exact solution.
     G_AA^{-1} is updated by bordering on entry, whose pivot is the entering
     atom's squared distance to the span of A, and by a Schur complement on a
-    drop. Once |A| = rank(X), A spans every atom and none may enter. With
-    exact=True the column is basis pursuit's: z is solved on the final
-    support at lambda = 0 and certified there.
+    drop. Once |A| = rank(X), A spans every atom and none may enter.
+
+    Every live column takes its step in the same numpy pass over the block.
+    Active sets, signs, coefficients and inverses are padded to a common
+    width; a padding slot holds zeros and names column j itself. Columns
+    that reach lam_end or the step cap leave the block, and the block's
+    arrays shrink to the columns left. Returns, in the order of cols, the
+    active sets, signs and last coefficients padded to the largest |A|, the
+    sizes |A|, the step counts and whether lam_end was reached.
     """
-    n_pts = gram.shape[0]
-    c = gram[j].copy()
-    c[j] = 0.0
-    first = int(np.abs(c).argmax())
-    lam = abs(c[first])
-    sides = np.array([[1.0], [-1.0]])
-    sc = c * sides  # atom i reaches the boundary on side t when sc[t, i] = lambda
-    active, s, z_a = [first], np.sign(c[[first]]), np.zeros(1)
-    inv = np.array([[1.0 / gram[first, first]]])
-    # blocked[t, i]: atom i may not enter on side t. Besides j and A, some
-    # atoms are held out until the next step (flat indices in held): those in
-    # the span of A, and the atom dropped in the last step on the side it left,
-    # where it sits at |c_i| = lambda and rounding would let it re-enter.
-    blocked = np.zeros((2, n_pts), dtype=bool)
-    blocked[:, [j, first]] = True
-    held: list[int] = []
-    steps, reached = 0, False
+    n_blk, n_pts = c.shape
+    rows = np.arange(n_blk)
+    first = np.abs(c).argmax(axis=1)
+    lam = np.abs(c[rows, first])
+    # the padded width doubles, up to rank(X), as the largest |A| needs
+    width = min(4, rank)
+    active = np.repeat(cols[:, None], width, axis=1)
+    active[:, 0] = first
+    s = np.zeros((n_blk, width))
+    s[:, 0] = np.sign(c[rows, first])
+    z_a = np.zeros((n_blk, width))
+    inv = np.zeros((n_blk, width, width))
+    inv[:, 0, 0] = 1.0 / sq_norms[first]
+    size = np.ones(n_blk, dtype=np.intp)
+    # blocked[t, b, i]: atom i may not enter column b's path on side t
+    # (0: c_i = lambda, 1: c_i = -lambda). Besides j and A, some atoms are
+    # held out until the column's next step (held; has_held marks the
+    # columns that hold any): those in the span of A, and the atom dropped in
+    # the last step on the side it left, where it sits at |c_i| = lambda and
+    # rounding would let it re-enter.
+    blocked = np.zeros((2, n_blk, n_pts), dtype=bool)
+    blocked[:, rows, cols] = True
+    blocked[:, rows, first] = True
+    held = np.zeros_like(blocked)
+    has_held = np.zeros(n_blk, dtype=bool)
+    steps = np.zeros(n_blk, dtype=np.intp)
+    reached = np.zeros(n_blk, dtype=bool)
+    order = rows
+    # each column's row is written here as it leaves the block
+    out_active = np.repeat(cols[:, None], rank, axis=1)
+    out_s, out_z = np.zeros((2, n_blk, rank))
+    out_size, out_steps = np.zeros((2, n_blk), dtype=np.intp)
+    out_reached = np.zeros(n_blk, dtype=bool)
+    # a = X^T X_A d, and per side the gap lambda -+ c_i, which closes at the
+    # rate 1 -+ a_i, their ratio, and where entry is barred
+    a_buf, rate_buf, enter_buf = np.empty((3, n_blk, n_pts))
+    mask_buf = np.empty((n_blk, n_pts), dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
-        while steps < MAX_PATH_STEPS * n_pts:
-            d = inv @ s
-            sa = (d @ gram.take(active, 0)) * sides
-            rate = 1.0 - sa
-            enter = np.maximum(lam - sc, 0.0) / rate  # a gap below zero is a tie
-            enter[blocked | (rate <= 0)] = np.inf
-            flat = int(enter.argmin())
-            sd = s * d
-            drop = np.where(sd < 0, np.maximum(s * z_a, 0.0) / -sd, np.inf)
-            k_out = int(drop.argmin())
-            to_end = lam - lam_target
-            gamma = min(drop[k_out], to_end)
-            entering = enter.flat[flat] < gamma
-            if entering:
-                side, i_in = divmod(flat, n_pts)
-                b = inv @ gram[active, i_in]
+        while True:
+            done = reached | (steps >= MAX_PATH_STEPS * n_pts)
+            if done.any():
+                ids = order[done]
+                out_active[ids, :width], out_s[ids, :width], out_z[ids, :width] = (
+                    active[done], s[done], z_a[done]
+                )
+                out_size[ids], out_steps[ids], out_reached[ids] = size[done], steps[done], reached[done]
+                keep = ~done
+                order, c, lam, lam_end, active, s, z_a, inv, size, has_held, steps = (
+                    v[keep] for v in
+                    (order, c, lam, lam_end, active, s, z_a, inv, size, has_held, steps)
+                )
+                blocked, held = blocked[:, keep], held[:, keep]
+                if not len(order):
+                    break
+                rows = np.arange(len(order))
+            n_live = len(order)
+            a, rate, enter, mask = (v[:n_live] for v in (a_buf, rate_buf, enter_buf, mask_buf))
+            # slots past the largest |A| are padding in every column
+            w = int(size.max())
+            s_w, inv_w = s[:, :w], inv[:, :w, :w]
+            x_a = xt[active[:, :w]]
+            d = (inv_w @ s_w[:, :, None])[:, :, 0]
+            np.matmul((d[:, None, :] @ x_a)[:, 0], x, out=a)
+            for t, op in enumerate((np.subtract, np.add)):
+                op(1.0, a, out=rate)
+                op(lam[:, None], c, out=enter)
+                enter /= rate
+                np.less_equal(rate, 0.0, out=mask)
+                mask |= blocked[t]
+                np.copyto(enter, np.inf, where=mask)
+                i_t = enter.argmin(axis=1)
+                e_t = enter[rows, i_t]
+                # a gap at or below zero is a tie at gamma = 0, which the
+                # first such atom wins
+                tie = np.flatnonzero(e_t <= 0)
+                if tie.size:
+                    i_t[tie] = (enter[tie] <= 0).argmax(axis=1)
+                    e_t[tie] = 0.0
+                if t == 0:
+                    side, i_in, e_min = np.zeros(n_live, dtype=np.intp), i_t, e_t
+                else:
+                    side = (e_t < e_min).astype(np.intp)
+                    i_in = np.where(side, i_t, i_in)
+                    e_min = np.minimum(e_t, e_min)
+            sd = s_w * d
+            drop = np.where(sd < 0, np.maximum(s_w * z_a[:, :w], 0.0) / -sd, np.inf)
+            k_out = drop.argmin(axis=1)
+            to_end = lam - lam_end
+            gamma = np.minimum(drop[rows, k_out], to_end)
+            entering = e_min < gamma
+            stepping = np.ones(n_live, dtype=bool)
+            ent = grow = np.flatnonzero(entering)
+            if ent.size:
+                x_i = xt[i_in[ent]]
+                b = (inv_w[ent] @ (x_a[ent] @ x_i[:, :, None]))[:, :, 0]
                 # from X, not G_ii - G_iA b, which cancels to rounding noise
                 # as G_AA grows ill-conditioned
-                resid = points[:, i_in] - points[:, active] @ b
-                pivot = resid @ resid
-                if len(active) == rank or pivot <= SPAN_TOL * gram[i_in, i_in]:
-                    # in the span of A, i_in holds KKT with a zero coefficient
-                    blocked[:, i_in] = True
-                    held += [i_in, n_pts + i_in]
-                    continue
-                gamma = enter.flat[flat]
-            z_a += gamma * d
-            sc -= gamma * sa
-            steps += 1
-            if not entering and gamma == to_end:
-                reached = True
-                break
-            lam -= gamma
-            blocked.flat[held] = False
-            held = []
-            if entering:
-                active.append(i_in)
-                s, z_a = np.append(s, 1.0 - 2.0 * side), np.append(z_a, 0.0)
-                blocked[:, i_in] = True
-                grown = np.zeros((len(s), len(s)))
-                grown[:-1, :-1] = inv
-                u = np.append(-b, 1.0)
-                inv = grown + np.outer(u, u) / pivot
-            else:
-                keep = [t for t in range(len(active)) if t != k_out]
-                out = active.pop(k_out)
-                side = int(s[k_out] < 0)
-                blocked[1 - side, out] = False
-                held.append(side * n_pts + out)
-                col = inv[keep, k_out]
-                inv = inv[keep][:, keep] - col[:, None] * col / inv[k_out, k_out]
-                s, z_a = s[keep], z_a[keep]
-    if reached:
-        # re-solve on the support and signs the path found, free of the
-        # rounding the inverse updates gathered; a coefficient that is zero
-        # at the end may come out at rounding level with the wrong sign.
-        # At lambda = 0 this is least squares on X_A, which keeps the
-        # conditioning of X_A where G_AA would square it.
-        if exact:
-            z_a = np.linalg.lstsq(points[:, active], points[:, j], rcond=None)[0]
-        else:
-            z_a = np.linalg.solve(gram[np.ix_(active, active)], gram[active, j] - lam_target * s)
-        z_a[s * z_a <= 0] = 0.0
-    message = "" if reached else "path step cap reached"
+                resid = x_i - (b[:, None, :] @ x_a[ent])[:, 0]
+                pivot = np.einsum("ep,ep->e", resid, resid)
+                spanned = (size[ent] == rank) | (pivot <= SPAN_TOL * sq_norms[i_in[ent]])
+                # in the span of A, i_in holds KKT with a zero coefficient;
+                # its column takes no step
+                out = ent[spanned]
+                blocked[:, out, i_in[out]] = True
+                held[:, out, i_in[out]] = True
+                has_held[out] = True
+                stepping[out] = False
+                gamma[ent] = e_min[ent]
+                grow, b, pivot = ent[~spanned], b[~spanned], pivot[~spanned]
+            gamma[~stepping] = 0.0
+            z_a[:, :w] += gamma[:, None] * d
+            c -= np.multiply(gamma[:, None], a, out=a)
+            steps += stepping
+            reached = stepping & ~entering & (gamma == to_end)
+            moving = stepping & ~reached
+            lam -= np.where(moving, gamma, 0.0)
+            release = np.flatnonzero(moving & has_held)
+            blocked[:, release] &= ~held[:, release]
+            held[:, release] = False
+            has_held[release] = False
+            if grow.size:
+                pos, new = size[grow], i_in[grow]
+                if pos.max() == width:
+                    extra = min(width, rank - width)
+                    active = np.hstack([active, np.repeat(cols[order, None], extra, axis=1)])
+                    s, z_a = (np.hstack([v, np.zeros((n_live, extra))]) for v in (s, z_a))
+                    inv = np.pad(inv, ((0, 0), (0, extra), (0, extra)))
+                    width += extra
+                active[grow, pos] = new
+                s[grow, pos] = 1.0 - 2.0 * side[grow]
+                blocked[:, grow, new] = True
+                w_u = min(w + 1, width)
+                u = np.zeros((len(grow), w_u))
+                u[:, :w] = -b
+                u[np.arange(len(grow)), pos] = 1.0
+                inv[grow, :w_u, :w_u] += u[:, :, None] * u[:, None, :] / pivot[:, None, None]
+                size[grow] += 1
+            shrink = np.flatnonzero(moving & ~entering)
+            if shrink.size:
+                r = np.arange(len(shrink))
+                k = k_out[shrink]
+                gone = active[shrink, k]
+                left = (s[shrink, k] < 0).astype(np.intp)
+                blocked[1 - left, shrink, gone] = False
+                held[left, shrink, gone] = True
+                has_held[shrink] = True
+                inv_d = inv[shrink, :w, :w]
+                col = inv_d[r, :, k]
+                inv_d -= col[:, :, None] * col[:, None, :] / inv_d[r, k, k][:, None, None]
+                # close the gap at slot k; the freed last slot becomes padding
+                slot = np.arange(w)
+                perm = np.minimum(slot + (slot >= k[:, None]), w - 1)
+                kept = slot < (size[shrink] - 1)[:, None]
+                inv[shrink, :w, :w] = np.where(
+                    kept[:, :, None] & kept[:, None, :],
+                    inv_d[r[:, None, None], perm[:, :, None], perm[:, None, :]],
+                    0.0,
+                )
+                active[shrink, :w] = np.where(
+                    kept, np.take_along_axis(active[shrink, :w], perm, 1), cols[order[shrink], None]
+                )
+                s[shrink, :w] = np.where(kept, np.take_along_axis(s[shrink, :w], perm, 1), 0.0)
+                z_a[shrink, :w] = np.where(kept, np.take_along_axis(z_a[shrink, :w], perm, 1), 0.0)
+                size[shrink] -= 1
+    w = int(out_size.max())
+    return out_active[:, :w], out_s[:, :w], out_z[:, :w], out_size, out_steps, out_reached
+
+
+def _certify_block(
+    x: np.ndarray, xt: np.ndarray, sq_norms: np.ndarray, cols: np.ndarray,
+    lam_end: np.ndarray, path: tuple[np.ndarray, ...], exact: bool,
+) -> tuple[np.ndarray, list[SscColumnInfo]]:
+    """Final coefficients and certificates of a block's paths.
+
+    Returns the coefficients, padded like the path's active sets, and the
+    per-column SscColumnInfo. With exact=True the columns are basis
+    pursuit's: z is solved on the final support at lambda = 0 and certified
+    there.
+    """
+    active, s, z_a, size, steps, reached = path
+    # re-solve on the support and signs the path found, free of the rounding
+    # the inverse updates gathered; a coefficient that is zero at the end may
+    # come out at rounding level with the wrong sign. At lambda = 0 this is
+    # least squares on X_A, which keeps the conditioning of X_A where
+    # G_AA = X_A^T X_A would square it. Lasso columns are solved together,
+    # one batch per support size.
     if exact:
-        # certificate: nu with X_A^T nu = s (nu = X_A G_AA^{-1} s, the lasso's
-        # residual / lambda), so z is optimal if |X^T nu| <= 1 off A and
-        # x_j = X z. The primal residual is taken from X: its Gram form
-        # sqrt(G_jj - 2 z^T G_Aj + z^T G_AA z) loses half the digits to
-        # cancellation.
-        x_a = points[:, active]
-        g = points.T @ np.linalg.lstsq(x_a.T, s, rcond=None)[0]
-        g[j] = 0.0
-        on_a = float(np.abs(g[active] - s).max())
-        g[active] = 0.0
-        target = points[:, j]
-        primal = float(np.linalg.norm(target - x_a @ z_a) / np.linalg.norm(target))
-        kkt = max(float(np.abs(g).max()) - 1.0, on_a, primal, 0.0)
-        objective = float(np.abs(z_a).sum())
-        if reached and primal > EXACT_TOL:
-            message = "point is not in the span of the others"
-            z_a, objective = np.zeros_like(z_a), np.nan
-        elif reached and kkt > EXACT_TOL:
-            message = f"certificate residual {kkt:.1e} above {EXACT_TOL:.0e}"
+        for b in np.flatnonzero(reached):
+            x_a = xt[active[b, :size[b]]].T
+            z_a[b, :size[b]] = np.linalg.lstsq(x_a, xt[cols[b]], rcond=None)[0]
     else:
-        # certificate: g = X_{-j}^T (x_j - X z) in lam_target * subgradient(|z|_1)
-        g = gram[j] - z_a @ gram[active]
-        fit = g[j] - z_a @ g[active]  # ||x_j - X z||^2
-        g[j] = 0.0
+        for k in np.unique(size[reached]):
+            sel = np.flatnonzero(reached & (size == k))
+            x_a = xt[active[sel, :k]]
+            rhs = x_a @ xt[cols[sel], :, None] - lam_end[sel, None, None] * s[sel, :k, None]
+            z_a[sel, :k] = np.linalg.solve(x_a @ x_a.transpose(0, 2, 1), rhs)[:, :, 0]
+    z_a[reached[:, None] & (s * z_a <= 0)] = 0.0
+    rows = np.arange(len(cols))
+    # residuals x_j - X z taken from X: their Gram form loses half the
+    # digits to cancellation
+    resid = xt[cols] - (z_a[:, None, :] @ xt[active])[:, 0]
+    if exact:
+        # certificate: nu with X_A^T nu = s (nu = X_A G_AA^{-1} s, the
+        # lasso's residual / lambda), so z is optimal if |X^T nu| <= 1 off A
+        # and x_j = X z
+        nu = np.stack([
+            np.linalg.lstsq(xt[active[b, :size[b]]], s[b, :size[b]], rcond=None)[0]
+            for b in rows
+        ])
+        g = nu @ x
+        g[rows, cols] = 0.0
+        on_a = np.abs(g[rows[:, None], active] - s).max(axis=1)
+        g[rows[:, None], active] = 0.0
+        primal = np.linalg.norm(resid, axis=1) / np.sqrt(sq_norms[cols])
+        kkt = np.maximum(np.maximum(np.abs(g).max(axis=1) - 1.0, on_a), np.maximum(primal, 0.0))
+        objective = np.abs(z_a).sum(axis=1)
+    else:
+        # certificate: g = X_{-j}^T (x_j - X z) in lam_end * subgradient(|z|_1)
+        g = resid @ x
+        g[rows, cols] = 0.0
         on = z_a != 0
-        kkt = max(
-            float(np.abs(g).max()) / lam_target - 1.0,
-            float(np.abs(g[active][on] / lam_target - np.sign(z_a[on])).max(initial=0.0)),
-            0.0,
+        on_a = np.where(on, np.abs(g[rows[:, None], active] / lam_end[:, None] - np.sign(z_a)), 0.0)
+        kkt = np.maximum(np.maximum(np.abs(g).max(axis=1) / lam_end - 1.0, on_a.max(axis=1)), 0.0)
+        objective = lam_end * np.abs(z_a).sum(axis=1) + 0.5 * np.einsum("bp,bp->b", resid, resid)
+    infos = []
+    for b, j in enumerate(cols):
+        message = "" if reached[b] else "path step cap reached"
+        if not exact:
+            if reached[b] and kkt[b] > PATH_KKT_TOL:
+                message = f"KKT residual {kkt[b]:.1e} above {PATH_KKT_TOL:.0e}"
+        elif reached[b] and primal[b] > EXACT_TOL:
+            message = "point is not in the span of the others"
+            z_a[b], objective[b] = 0.0, np.nan
+        elif reached[b] and kkt[b] > EXACT_TOL:
+            message = f"certificate residual {kkt[b]:.1e} above {EXACT_TOL:.0e}"
+        infos.append(SscColumnInfo(
+            column=int(j),
+            mode="exact_l1" if exact else "lasso_admm",
+            converged=not message,
+            iterations=int(steps[b]),
+            objective=float(objective[b]),
+            kkt_residual=float(kkt[b]),
+            message=message,
+        ))
+    return z_a, infos
+
+
+def _self_representation(data, config: SscConfig | None):
+    """The coefficient matrix Z, sparse, and the per-column infos.
+
+    Columns are solved in blocks of BLOCK_ENTRIES // N; no N x N array is
+    formed. A column orthogonal to all others (mu_j = 0) takes no path.
+    """
+    if config is None:
+        config = SscConfig()
+    x = np.asarray(getattr(data, "points", data), dtype=float)
+    if x.ndim != 2:
+        raise ValueError("data must be a 2-d array of column points")
+    n_pts = x.shape[1]
+    if n_pts < 2:
+        raise ValueError("self-representation needs at least two points")
+    check_columns(x)
+
+    exact = config.mode == "exact_l1"
+    xt = np.ascontiguousarray(x.T)
+    sq_norms = np.einsum("ij,ij->j", x, x)
+    rank = int(np.linalg.matrix_rank(x))
+    infos: list[SscColumnInfo | None] = [None] * n_pts
+    coords = [(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0))]
+    step = max(1, BLOCK_ENTRIES // n_pts)
+    for start in range(0, n_pts, step):
+        cols = np.arange(start, min(start + step, n_pts))
+        c = xt[cols] @ x
+        c[np.arange(len(cols)), cols] = 0.0
+        # mu_j = max_{i != j} |<x_i, x_j>|, where every path starts
+        mu = np.abs(c).max(axis=1)
+        for j in cols[mu == 0]:
+            infos[j] = SscColumnInfo(
+                column=int(j),
+                mode=config.mode,
+                converged=False,
+                iterations=0,
+                objective=0.0,
+                kkt_residual=np.nan,
+                message="point is orthogonal to all others",
+            )
+        cols, c, mu = cols[mu > 0], c[mu > 0], mu[mu > 0]
+        if not len(cols):
+            continue
+        lam_end = EXACT_PATH_END * mu if exact else mu / config.alpha
+        path = _lasso_path_block(x, xt, sq_norms, rank, cols, c, lam_end)
+        z_a, block_infos = _certify_block(x, xt, sq_norms, cols, lam_end, path, exact)
+        for info in block_infos:
+            infos[info.column] = info
+        on = z_a != 0
+        coords.append((path[0][on], np.repeat(cols, on.sum(axis=1)), z_a[on]))
+
+    bad = [i.column for i in infos if not i.converged]
+    if bad:
+        warnings.warn(
+            f"self-representation did not converge for {len(bad)} of {n_pts} "
+            f"columns (first: {bad[:5]})",
+            RuntimeWarning,
+            stacklevel=3,
         )
-        objective = float(lam_target * np.abs(z_a).sum() + 0.5 * fit)
-        if reached and kkt > PATH_KKT_TOL:
-            message = f"KKT residual {kkt:.1e} above {PATH_KKT_TOL:.0e}"
-    z = np.zeros(n_pts)
-    z[active] = z_a
-    return z, SscColumnInfo(
-        column=j,
-        mode="exact_l1" if exact else "lasso_admm",
-        converged=not message,
-        iterations=steps,
-        objective=objective,
-        kkt_residual=kkt,
-        message=message,
-    )
+    rows, cols, vals = (np.concatenate(v) for v in zip(*coords))
+    return sparse.coo_array((vals, (rows, cols)), shape=(n_pts, n_pts)), infos
 
 
 def ssc_coefficients(
@@ -250,66 +455,28 @@ def ssc_coefficients(
     iterate, and points orthogonal to all others, or (for exact_l1) outside
     the span of the others, get a zero column; all are reported via a warning.
     """
-    if config is None:
-        config = SscConfig()
-    x = np.asarray(getattr(data, "points", data), dtype=float)
-    if x.ndim != 2:
-        raise ValueError("data must be a 2-d array of column points")
-    n_pts = x.shape[1]
-    if n_pts < 2:
-        raise ValueError("self-representation needs at least two points")
-    check_columns(x)
-
-    z_full = np.zeros((n_pts, n_pts))
-    infos = []
-    # mu_j = max_{i != j} |G_ij|, where every path starts
-    gram = x.T @ x
-    rank = np.linalg.matrix_rank(x)
-    mu = np.abs(gram - np.diag(np.diag(gram))).max(axis=0)
-    for j in range(n_pts):
-        if mu[j] == 0:
-            info = SscColumnInfo(
-                column=j,
-                mode=config.mode,
-                converged=False,
-                iterations=0,
-                objective=0.0,
-                kkt_residual=np.nan,
-                message="point is orthogonal to all others",
-            )
-        elif config.mode == "exact_l1":
-            z_full[:, j], info = _lasso_path_column(
-                x, gram, rank, j, EXACT_PATH_END * mu[j], exact=True
-            )
-        else:
-            z_full[:, j], info = _lasso_path_column(x, gram, rank, j, mu[j] / config.alpha)
-        infos.append(info)
-
-    bad = [i.column for i in infos if not i.converged]
-    if bad:
-        warnings.warn(
-            f"self-representation did not converge for {len(bad)} of {n_pts} "
-            f"columns (first: {bad[:5]})",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    z, infos = _self_representation(data, config)
     if return_info:
-        return z_full, infos
-    return z_full
+        return z.toarray(), infos
+    return z.toarray()
 
 
-def adjacency_from_coefficients(z: np.ndarray) -> Adjacency:
-    """Symmetrize a coefficient matrix into |Z| + |Z|^T."""
-    a = sparse.csr_array(np.abs(np.asarray(z, dtype=float)))
+def adjacency_from_coefficients(z) -> Adjacency:
+    """Symmetrize a coefficient matrix, dense or sparse, into |Z| + |Z|^T."""
+    a = abs(sparse.csr_array(z, dtype=float))
     return Adjacency(a + a.T)
 
 
 def ssc_adjacency(data, config: SscConfig | None = None, return_info: bool = False):
-    """Self-representation coefficients symmetrized into an Adjacency."""
+    """Self-representation coefficients symmetrized into an Adjacency.
+
+    The graph is built from each column's support, with no dense Z.
+    """
+    z, infos = _self_representation(data, config)
+    adj = adjacency_from_coefficients(z)
     if return_info:
-        z, infos = ssc_coefficients(data, config, return_info=True)
-        return adjacency_from_coefficients(z), infos
-    return adjacency_from_coefficients(ssc_coefficients(data, config))
+        return adj, infos
+    return adj
 
 
 def write_diagnostics_csv(infos: list[SscColumnInfo], path) -> None:

@@ -1,4 +1,6 @@
 import csv
+import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -21,7 +23,9 @@ from rpcluster import (
     ssc_coefficients,
     write_diagnostics_csv,
 )
+from rpcluster import ssc
 from rpcluster.ssc import SSC_MODES
+from test_acceptance import criterion_2_instances
 
 EXACT = SscConfig(mode="exact_l1")
 
@@ -288,6 +292,100 @@ def test_batched_admm_matches_per_column_reference(points, oracle):
         assert lasso_kkt(x, z, j) <= 1e-9
 
 
+def solve_in_blocks_of(columns, n, monkeypatch):
+    """Make the solver take `columns` columns of an n-point input per block."""
+    monkeypatch.setattr(ssc, "BLOCK_ENTRIES", columns * n)
+
+
+@pytest.mark.parametrize("mode", SSC_MODES)
+@pytest.mark.parametrize(
+    "points", [projected_points, points_with_orthogonal_one, lambda: TIE_POINTS],
+    ids=["p_below_n", "orthogonal_point", "integer_ties"],
+)
+def test_column_blocks_match_one_block(points, mode, monkeypatch):
+    # 3-column blocks, the last one short, against one block of every column;
+    # the orthogonal point is alone in its block
+    x = points()
+    n = x.shape[1]
+    runs = []
+    for columns in (n, 3):
+        solve_in_blocks_of(columns, n, monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the orthogonal point
+            runs.append(ssc_coefficients(x, SscConfig(mode=mode), return_info=True))
+    (z_one, infos_one), (z_three, infos_three) = runs
+    assert np.array_equal(z_one != 0, z_three != 0)
+    assert [i.iterations for i in infos_one] == [i.iterations for i in infos_three]
+    assert [i.converged for i in infos_one] == [i.converged for i in infos_three]
+    assert np.max(np.abs(z_one - z_three)) <= 1e-12
+
+
+@pytest.mark.parametrize("mode", SSC_MODES)
+def test_step_cap_stops_only_the_long_paths(mode, monkeypatch):
+    # the longest paths of one block hit the cap while the others finish, so
+    # the block writes out finished and unfinished columns and keeps going
+    data = subspace_data(50, 3, (8, 8, 8, 8), seed=43)
+    x = project_columns(make_projector("gaussian", 50, 8, seed=43), data.points)
+    n = x.shape[1]
+    config = SscConfig(mode=mode)
+    z_free, infos_free = ssc_coefficients(x, config, return_info=True)
+    iterations = np.array([info.iterations for info in infos_free])
+    cap = int(np.sort(iterations)[-4])
+    capped = np.flatnonzero(iterations > cap).tolist()
+    assert 1 <= len(capped) <= 3
+    # the cap is MAX_PATH_STEPS * N steps, exact for N = 32
+    monkeypatch.setattr(ssc, "MAX_PATH_STEPS", cap / n)
+    named = re.escape(f"for {len(capped)} of {n} columns (first: {capped})")
+    with pytest.warns(RuntimeWarning, match=named):
+        z, infos = ssc_coefficients(x, config, return_info=True)
+    for j, info in enumerate(infos):
+        if j in capped:
+            assert info.message == "path step cap reached"
+            assert info.iterations == cap and not info.converged
+            # the last iterate solves the lasso at the lambda the path reached
+            on = np.flatnonzero(z[:, j])
+            g = x.T @ (x[:, j] - x @ z[:, j])
+            g[j] = 0.0
+            lam = np.abs(g[on]).max()
+            assert on.size and np.allclose(g[on], lam * np.sign(z[on, j]), rtol=1e-8, atol=0)
+            assert np.abs(g).max() <= lam * (1 + 1e-8)
+        else:
+            assert info.message == "" and info.converged
+            assert info.iterations == infos_free[j].iterations
+            assert np.array_equal(z[:, j] != 0, z_free[:, j] != 0)
+            assert np.max(np.abs(z[:, j] - z_free[:, j])) <= 1e-12
+
+
+@pytest.mark.parametrize("mode", SSC_MODES)
+def test_graph_from_supports_equals_graph_from_dense_z(mode):
+    # ssc_adjacency builds its CSR from each column's support, with no dense Z
+    config = SscConfig(mode=mode)
+    for x in criterion_2_instances():
+        mine = ssc_adjacency(x, config).weights
+        dense = adjacency_from_coefficients(ssc_coefficients(x, config)).weights
+        assert mine.nnz > 0
+        assert np.array_equal(mine.indptr, dense.indptr)
+        assert np.array_equal(mine.indices, dense.indices)
+        assert np.array_equal(mine.data, dense.data)
+
+
+def test_ssc_adjacency_memory_is_bounded():
+    # 4 random 3-dim subspaces of R^50, 300 points each, Gaussian p=10:
+    # N = 1200, where one N x N float64 array is 11.5 MB
+    data = subspace_data(50, 3, (300,) * 4, seed=0)
+    x = project_columns(make_projector("gaussian", 50, 10, seed=0), data.points)
+    n = x.shape[1]
+    tracemalloc.start()
+    try:
+        adj, infos = ssc_adjacency(x, return_info=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(info.converged for info in infos)
+    assert adj.weights.nnz > 0
+    assert peak < n * n * 8, peak / 1e6
+
+
 # Found by search over small integer point sets with duplicates: ties let
 # column 2's path drop atom 4 while it sits exactly on the boundary. If the
 # dropped atom may re-enter in the next step, the path cycles between
@@ -341,6 +439,31 @@ def test_lasso_path_with_duplicate_points():
         assert lasso_kkt(x, z, j) <= 1e-9
         if j in twins:
             assert np.flatnonzero(z[:, j]).tolist() == [twins[j]]
+
+
+
+def test_tied_sides_go_to_side_plus():
+    # column i < 4 is -1 times column 4 + i, so for any other column the
+    # pair's correlations and rates are exact negatives of each other and
+    # both atoms reach the boundary at the same step, one on each side. Side
+    # +, where c_i = lambda and the coefficient grows positive, wins the tie;
+    # only a path's first atom, the arg-max of mu_j, may come out negative.
+    rng = np.random.default_rng(71)
+    base = rng.standard_normal((5, 12))
+    base /= np.linalg.norm(base, axis=0)
+    x = np.hstack([-base[:, :4], base])
+    pairs = range(8)
+    for mode in SSC_MODES:
+        z, infos = ssc_coefficients(x, SscConfig(mode=mode), return_info=True)
+        assert all(info.converged for info in infos)
+        entered = 0
+        for j in range(x.shape[1]):
+            corr = np.abs(x.T @ x[:, j])
+            corr[j] = 0.0
+            later = [k for k in pairs if k not in (j, int(corr.argmax())) and z[k, j] != 0]
+            assert all(z[k, j] > 0 for k in later), (mode, j)
+            entered += len(later)
+        assert entered >= 10
 
 
 def test_defaults_converge_without_warning():
