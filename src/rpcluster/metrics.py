@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linear_sum_assignment
+from scipy.sparse import csgraph
 
 from .project import Projector, ProjectorCalibration, is_identity, project_columns
 from .graph import Adjacency
@@ -20,8 +20,12 @@ def clustering_error(predicted, truth) -> float:
     """Fraction of misclassified points under the best label matching.
 
     The predicted label set is matched to the true one by maximizing the
-    total confusion-matrix weight over one-to-one assignments (Hungarian
-    algorithm), so the value is permutation invariant and lies in [0, 1].
+    total confusion-matrix weight over one-to-one assignments, so the value
+    is permutation invariant and lies in [0, 1]. The matching is csgraph's
+    sparse LAPJV (min_weight_full_bipartite_matching) on the confusion
+    matrix plus 1: the offset makes every pair an edge, so a full matching
+    exists, and it adds the same k to every full matching of the k x k
+    matrix, so the best assignment is unchanged.
     """
     predicted = np.asarray(predicted)
     truth = np.asarray(truth)
@@ -33,9 +37,10 @@ def clustering_error(predicted, truth) -> float:
     _, pred_idx = np.unique(predicted, return_inverse=True)
     _, true_idx = np.unique(truth, return_inverse=True)
     k = max(pred_idx.max(), true_idx.max()) + 1
-    confusion = np.zeros((k, k), dtype=int)
-    np.add.at(confusion, (pred_idx, true_idx), 1)
-    rows, cols = linear_sum_assignment(-confusion)
+    confusion = np.bincount(pred_idx * k + true_idx, minlength=k * k).reshape(k, k)
+    rows, cols = csgraph.min_weight_full_bipartite_matching(
+        sparse.csr_array(confusion + 1.0), maximize=True
+    )
     matched = confusion[rows, cols].sum()
     return float(1.0 - matched / n)
 

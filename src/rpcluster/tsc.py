@@ -36,8 +36,8 @@ class TscConfig:
 # five arrays of this size (products, scores, ranking, partition copy, mask),
 # so the memory the selection needs does not grow with N beyond O(Nq).
 # tsc_adjacency at N=2400 (p=20, q=8) on 2 vCPUs, median of 25 interleaved
-# calls: 69-75 ms from 2^14 to 2^18 entries (6 to 109 rows), 78 ms at 2^19,
-# 101 ms at 2^21 and 143 ms for all rows at once, as blocks outgrow the
+# calls: 61-73 ms from 2^14 to 2^18 entries (6 to 109 rows), 77 ms at 2^19,
+# 101 ms at 2^21 and 150 ms for all rows at once, as blocks outgrow the
 # cache; the traced peak is 5.5 MB at 2^17 against 84 MB at 2^21 and 145 MB
 # for all rows.
 BLOCK_ENTRIES = 2**17
@@ -76,7 +76,8 @@ def _select(data, config: TscConfig) -> tuple[np.ndarray, np.ndarray]:
         # cut keep more than q candidates, and the lexsort puts the smaller
         # index first
         cut = np.partition(ranking, q - 1, axis=1)[:, q - 1]
-        rows, cols = np.nonzero(ranking <= cut[:, None])  # rows ascending
+        # flat indices are row-major, so rows come out ascending
+        rows, cols = np.divmod(np.flatnonzero(ranking <= cut[:, None]), n_pts)
         cols = cols[np.lexsort((cols, ranking[rows, cols], rows))]
         first = np.searchsorted(rows, local)
         chosen = cols[first[:, None] + np.arange(q)]

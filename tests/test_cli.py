@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -519,3 +523,38 @@ def test_cluster_pinned_timing_row(tmp_path):
         "L_hat": "7",
         "error": "",
     }
+
+
+# Loaded by scipy.optimize and by nothing else the CLI needs; a run that
+# pulls them in pays about 17 MB of RSS and 0.2 s of start-up per command.
+HEAVY_SCIPY_MODULES = {"scipy.optimize", "scipy.special", "scipy.spatial", "scipy.fft"}
+
+IMPORT_FOOTPRINT_SCRIPT = """
+import sys
+from rpcluster.cli import main
+
+data, labels, out = sys.argv[1:]
+gen = ["gen", "--m", "30", "--dims", "3,3", "--counts", "10,10", "--seed", "1"]
+assert main(gen + ["--data", data, "--labels", labels]) == 0
+assert main([
+    "cluster", "--data", data, "--labels", labels, "--algorithm", "ssc",
+    "--projection", "gaussian", "--p", "12", "--out-labels", out,
+]) == 0
+print(*sorted(name for name in sys.modules if name.startswith("scipy.")))
+"""
+
+
+def test_cli_run_does_not_load_heavy_scipy_modules(tmp_path):
+    # a fresh interpreter, so modules the test suite itself imports do not count
+    src = Path(__file__).resolve().parents[1] / "src"
+    paths = [str(tmp_path / name) for name in ("data.csv", "labels.csv", "pred.csv")]
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_FOOTPRINT_SCRIPT, *paths],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "ce=" in proc.stdout  # clustering_error ran
+    loaded = set(proc.stdout.splitlines()[-1].split())
+    assert "scipy.sparse.csgraph" in loaded
+    assert not loaded & HEAVY_SCIPY_MODULES

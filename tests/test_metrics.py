@@ -41,6 +41,12 @@ def brute_force_ce(pred, truth):
     return 1.0 - best / len(pred)
 
 
+def labels_using_all(rng, k, n, values=None):
+    """n labels drawn from k values, each of which occurs at least once."""
+    idx = rng.permutation(np.concatenate([np.arange(k), rng.integers(0, k, n - k)]))
+    return idx if values is None else np.asarray(values)[idx]
+
+
 def test_clustering_error_examples():
     assert clustering_error([0, 1, 0, 1], [0, 1, 0, 1]) == 0.0
     assert clustering_error([1, 1, 0, 0], [0, 0, 1, 1]) == 0.0
@@ -49,15 +55,36 @@ def test_clustering_error_examples():
 
 def test_clustering_error_matches_brute_force():
     rng = np.random.default_rng(0)
+    cases = []
     for _ in range(200):
         n = int(rng.integers(2, 41))
         k_true = int(rng.integers(1, 6))
         k_pred = int(rng.integers(1, 6))
         truth = rng.integers(0, k_true, size=n)
-        pred = rng.integers(0, k_pred, size=n)
+        cases.append((rng.integers(0, k_pred, size=n), truth))
+    # label values that are not contiguous, or are negative
+    for _ in range(20):
+        n = int(rng.integers(3, 30))
+        pred = labels_using_all(rng, 3, n, values=[-3, 7, 100])
+        truth = labels_using_all(rng, 3, n, values=[-5, 0, 42])
+        cases.append((pred, truth))
+        cases.append((pred, labels_using_all(rng, 2, n, values=[1000, -1])))
+    # unequal label counts, up to 7 on either side
+    for k_pred, k_true in [(7, 2), (2, 7), (7, 6), (6, 7), (7, 7), (5, 3)]:
+        for n in (7, 25):
+            cases.append((labels_using_all(rng, k_pred, n), labels_using_all(rng, k_true, n)))
+    # one point
+    cases += [([0], [0]), ([4], [-1])]
+    # a single predicted or a single true cluster
+    for k in (1, 2, 4, 7):
+        labels = labels_using_all(rng, k, 20)
+        cases += [(np.zeros(20, dtype=int), labels), (labels, np.full(20, 9))]
+    for pred, truth in cases:
         assert clustering_error(pred, truth) == pytest.approx(
             brute_force_ce(pred, truth), abs=1e-12
         )
+    assert clustering_error([4], [-1]) == 0.0
+    assert clustering_error(np.zeros(20, dtype=int), np.arange(20) % 4) == 0.75
 
 
 def test_clustering_error_relabel_invariance_and_symmetry():
