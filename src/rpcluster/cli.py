@@ -23,11 +23,12 @@ from .graph import Adjacency
 from .metrics import TheoremReport, clustering_error, false_connections, theorem_report
 from .project import KINDS, ProjectorCalibration, apply, make_projector
 from .spectral import ClusteringResult, spectral_cluster
-from .ssc import SSC_MODES, SscConfig, check_columns, ssc_adjacency
+from .ssc import SSC_MODES, SscConfig, ssc_adjacency
 from .synth import (
     DataSet,
     UnionModel,
     affinity,
+    check_columns,
     generate,
     intersecting_pair,
     random_orthonormal_basis,
@@ -88,11 +89,14 @@ class ExperimentConfig:
         for p in self.p_values:
             if p < 0 or p > self.m:
                 raise ValueError(f"p={p} must lie in [0, m={self.m}]")
-        if 0 not in self.p_values and not self.kinds:
+        if not self.kinds:
             raise ValueError("no projector kinds given")
         if self.repetitions < 1:
             raise ValueError("repetitions must be at least 1")
-        self._ssc = _ssc_config(self)  # built once, so bad SSC settings fail here
+        if self.l_max < 1:
+            raise ValueError("l_max must be at least 1")
+        # built once, so bad SSC settings fail here
+        self.ssc = SscConfig(mode=self.ssc_mode, alpha=self.alpha)
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "ExperimentConfig":
@@ -101,17 +105,6 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         return cls(**mapping)
-
-    def ssc_config(self) -> SscConfig:
-        return self._ssc
-
-
-def _ssc_config(settings) -> SscConfig:
-    """SscConfig from an ExperimentConfig or a parsed ``cluster`` command line.
-
-    Both carry the SSC settings under the same two names.
-    """
-    return SscConfig(mode=settings.ssc_mode, alpha=settings.alpha)
 
 
 def _subseed(*parts) -> int:
@@ -228,7 +221,7 @@ def run_sweep(config: ExperimentConfig) -> list:
                     row = dict(base, algorithm=alg)
                     try:
                         fields, _, _ = _cluster_and_score(
-                            alg, working, config.ssc_config(), config.q,
+                            alg, working, config.ssc, config.q,
                             None, int(streams[2]), config.l_max,
                         )
                         row.update(fields, time_project_ms=time_project)
@@ -330,7 +323,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    ssc = _ssc_config(args)
+    ssc = SscConfig(mode=args.ssc_mode, alpha=args.alpha)
     data = dataio.read_dataset(args.data, args.labels)
     if not 0 <= args.p <= data.dim:
         raise ValueError(f"p={args.p} must lie in [0, m={data.dim}]")

@@ -268,11 +268,13 @@ def spectral_cluster(
     When n_clusters is None, the count is picked by the eigengap heuristic
     over the first l_max gaps. Embedding rows are unit-normalized, except
     all-zero rows, which are left at zero. Only the bottom n_clusters + 1
-    eigenpairs are computed (max(l_max, 1) + 1 when the count is picked).
+    eigenpairs are computed (l_max + 1 when the count is picked).
     """
     if n_clusters is not None and not 1 <= n_clusters <= adj.n:
         raise ValueError(f"cluster count {n_clusters} is out of range")
-    k = (max(l_max, 1) if n_clusters is None else n_clusters) + 1
+    if l_max < 1:
+        raise ValueError("l_max must be at least 1")
+    k = (l_max if n_clusters is None else n_clusters) + 1
     vals, vecs = _bottom_eigh(adj, k)
     if n_clusters is None:
         n_clusters = _largest_gap(vals, l_max)

@@ -39,7 +39,7 @@ import numpy as np
 from scipy import sparse
 
 from .graph import Adjacency
-from .synth import check_finite_columns
+from .synth import check_columns
 
 SSC_MODES = ("lasso_admm", "exact_l1")
 
@@ -96,15 +96,6 @@ class SscColumnInfo:
     objective: float
     kkt_residual: float  # nan where no certificate is evaluated
     message: str = ""
-
-
-def check_columns(x: np.ndarray) -> None:
-    """Reject points (columns) with a NaN/inf entry or a zero norm, naming the first."""
-    check_finite_columns(x)
-    norms = np.linalg.norm(x, axis=0)
-    if np.any(norms == 0):
-        bad = int(np.flatnonzero(norms == 0)[0])
-        raise ValueError(f"column {bad} is identically zero")
 
 
 def _lasso_path_block(

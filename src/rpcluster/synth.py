@@ -90,6 +90,15 @@ def check_finite_columns(x: np.ndarray) -> None:
         raise ValueError(f"column {bad} has a non-finite entry")
 
 
+def check_columns(x: np.ndarray) -> None:
+    """Reject points (columns) with a NaN/inf entry or a zero norm, naming the first."""
+    check_finite_columns(x)
+    norms = np.linalg.norm(x, axis=0)
+    if np.any(norms == 0):
+        bad = int(np.flatnonzero(norms == 0)[0])
+        raise ValueError(f"column {bad} is identically zero")
+
+
 @dataclass
 class DataSet:
     """Points stored one per column, with optional ground-truth labels.

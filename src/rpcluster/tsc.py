@@ -1,4 +1,4 @@
-"""Thresholding-based subspace clustering: q nearest neighbors by |inner product|."""
+"""Thresholding-based subspace clustering: q nearest neighbors by |cosine|."""
 
 from __future__ import annotations
 
@@ -8,24 +8,14 @@ import numpy as np
 from scipy import sparse
 
 from .graph import Adjacency
-from .ssc import check_columns
+from .synth import check_columns
 
 
 @dataclass(frozen=True)
 class TscConfig:
-    """Neighborhood size q and whether selection scores are norm-normalized.
-
-    With normalize_selection=False (the default) point j keeps the q other
-    points with the largest raw |<x_j, x_i>|; with True the scores are divided
-    by ||x_j|| ||x_i|| first, which matters only for unnormalized data.
-    Projected points are unnormalized data: a Gaussian projection to p
-    dimensions spreads ||Phi x|| by about 1/sqrt(2p), so raw selection favors
-    long vectors. Callers clustering projected points should pass
-    normalize_selection=True.
-    """
+    """Neighborhood size q: each point keeps the q others of largest |cosine|."""
 
     q: int = 4
-    normalize_selection: bool = False
 
     def __post_init__(self):
         if self.q < 1:
@@ -46,7 +36,9 @@ BLOCK_ENTRIES = 2**17
 def _select(data, config: TscConfig) -> tuple[np.ndarray, np.ndarray]:
     """The (N, q) selected neighbors and the |cosines| of those selected pairs.
 
-    Row j ranks the other points by score, descending, and ties go to the
+    The columns are normalized once, so a block's |X_b^T X| is its |cosine|
+    matrix: the score that ranks neighbors and the cosine in the edge weight.
+    Row j ranks the other points by |cosine|, descending, and ties go to the
     smaller index: exactly the first q of a stable argsort of -score. Only the
     candidates at or above each row's q-th score are sorted. Rows are scored
     in blocks of BLOCK_ENTRIES score entries, so no N x N array is formed.
@@ -55,12 +47,12 @@ def _select(data, config: TscConfig) -> tuple[np.ndarray, np.ndarray]:
     if x.ndim != 2:
         raise ValueError("data must be a 2-d array of column points")
     check_columns(x)
+    x = x / np.linalg.norm(x, axis=0)
     n_pts = x.shape[1]
     if config.q > n_pts - 1:
         raise ValueError(
             f"q={config.q} needs at least q+1 points, got {n_pts}"
         )
-    norms = np.linalg.norm(x, axis=0)
     q = config.q
     neighbors = np.empty((n_pts, q), dtype=np.intp)
     cosines = np.empty((n_pts, q))
@@ -68,8 +60,7 @@ def _select(data, config: TscConfig) -> tuple[np.ndarray, np.ndarray]:
     for start in range(0, n_pts, step):
         block = slice(start, min(start + step, n_pts))
         local = np.arange(block.stop - start)
-        gram = np.abs(x[:, block].T @ x)
-        scores = gram / np.outer(norms[block], norms) if config.normalize_selection else gram
+        scores = np.abs(x[:, block].T @ x)
         ranking = -scores
         ranking[local, start + local] = np.inf  # a point is never its own neighbor
         # q <= N-1 and finite scores make every row's cut finite; ties at the
@@ -82,14 +73,12 @@ def _select(data, config: TscConfig) -> tuple[np.ndarray, np.ndarray]:
         first = np.searchsorted(rows, local)
         chosen = cols[first[:, None] + np.arange(q)]
         neighbors[block] = chosen
-        cosines[block] = np.take_along_axis(gram, chosen, axis=1) / (
-            norms[block, None] * norms[chosen]
-        )
+        cosines[block] = np.take_along_axis(scores, chosen, axis=1)
     return neighbors, cosines
 
 
 def tsc_neighbors(data, config: TscConfig | None = None) -> np.ndarray:
-    """Index sets S_j of the q largest scores, one row per point.
+    """Index sets S_j of the q largest |cosines| |<x_j, x_i>| / (||x_j|| ||x_i||).
 
     Ties are broken toward the smaller index; a point is never its own
     neighbor. A point with a NaN/inf entry or a zero norm is rejected.
@@ -101,8 +90,8 @@ def tsc_neighbors(data, config: TscConfig | None = None) -> np.ndarray:
 def tsc_adjacency(data, config: TscConfig | None = None) -> Adjacency:
     """Adjacency Z + Z^T with spherical-distance weights on selected neighbors.
 
-    The weight on a selected edge (j, i) is exp(-2 * arccos(c_ji)) with
-    c_ji = |<x_j, x_i>| / (||x_j|| ||x_i||), clamped into [0, 1]. Z is built
+    The weight on a selected edge (j, i) is exp(-2 * arccos(c_ji)), with c_ji
+    the |cosine| that selected it, clamped into [0, 1]. Z is built
     sparse, with q entries per column.
     """
     neighbors, cosines = _select(data, config or TscConfig())

@@ -179,11 +179,11 @@ def test_criterion_3_tsc_equals_dense_oracle():
         z = np.zeros((n, n))
         for j in range(n):
             scored = sorted(
-                (-abs(float(x[:, j] @ x[:, i])), i) for i in range(n) if i != j
+                (-abs(float(x[:, j] @ x[:, i])) / (norms[i] * norms[j]), i)
+                for i in range(n) if i != j
             )
-            for _, i in scored[:q]:
-                cos = abs(float(x[:, j] @ x[:, i])) / (norms[i] * norms[j])
-                z[i, j] = math.exp(-2.0 * math.acos(min(1.0, cos)))
+            for neg_cos, i in scored[:q]:
+                z[i, j] = math.exp(-2.0 * math.acos(min(1.0, -neg_cos)))
         worst = max(worst, float(np.max(np.abs(adj.weights.toarray() - (z + z.T)))))
     ok = worst < 1e-12
     line = report(3, ok, f"50 instances, max |A - dense oracle| {worst:.2e}")
@@ -255,34 +255,31 @@ def test_criterion_5_ce_vs_p_trend():
 
 
 def test_criterion_6_no_false_connections_regime():
-    # TSC's analysis assumes unit-norm points, and a Gaussian projection
-    # spreads ||Phi x|| by about 1/sqrt(2p), so neighbors are ranked by |cosine|
-    normalized = TscConfig(q=4, normalize_selection=True)
+    config = TscConfig(q=4)
 
     def clean(adj, labels):
         return false_connections(adj, labels).count == 0
 
     tsc_ok = clean_0 = clean_30 = exact_15 = 0
-    # on record only: raw selection and the theorem's sides at p=15
-    clean_15_raw = clean_15 = 0
+    # on record only: the p=15 graphs and the theorem's sides there
+    clean_15 = 0
     lhs_15, rhs_15 = [], 0.0
     for seed in range(20):
         a, b = intersecting_pair(30, 3, 0, seed=seed)
         model = UnionModel((a, b), (30, 30), seed=seed + 1000)
         data = generate(model)
         tsc_ok += theorem_report(model, None, q=4).tsc_ok
-        clean_0 += clean(tsc_adjacency(data, normalized), data.labels)
+        clean_0 += clean(tsc_adjacency(data, config), data.labels)
         for p in (15, 30):
             proj = make_projector("gaussian", 30, p, seed=seed + 2000)
             points = DataSet(project_columns(proj, data.points), data.labels)
-            adj = tsc_adjacency(points, normalized)
+            adj = tsc_adjacency(points, config)
             if p == 30:
                 clean_30 += clean(adj, data.labels)
                 continue
             res = spectral_cluster(adj, n_clusters=2, seed=0)
             exact_15 += clustering_error(res.labels, data.labels) == 0
             clean_15 += clean(adj, data.labels)
-            clean_15_raw += clean(tsc_adjacency(points, TscConfig(q=4)), data.labels)
             rep = theorem_report(model, proj, q=4)
             lhs_15.append(rep.tsc_lhs)
             rhs_15 = rep.tsc_rhs
@@ -294,8 +291,8 @@ def test_criterion_6_no_false_connections_regime():
         ok,
         f"unprojected: TSC condition {tsc_ok}/20 (need 20), zero-false-connection "
         f"{clean_0}/20; p=30 zero-false-connection {clean_30}/20; p=15 CE 0 "
-        f"{exact_15}/20 (need 19 each); p=15 zero-false-connection raw "
-        f"{clean_15_raw}/20, normalized {clean_15}/20, TSC condition lhs >= "
+        f"{exact_15}/20 (need 19 each); p=15 zero-false-connection "
+        f"{clean_15}/20, TSC condition lhs >= "
         f"{min(lhs_15):.3f} vs rhs {rhs_15:.4f}",
     )
     assert ok, line

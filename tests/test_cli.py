@@ -229,6 +229,19 @@ def test_cluster_rejects_infinite_label(tmp_path, capsys):
     assert "row 5" in err
 
 
+@pytest.mark.parametrize("l_max", ["0", "-3"])
+def test_cluster_rejects_l_max_below_one(tmp_path, capsys, l_max):
+    data, labels = run_gen(tmp_path, seed=6)
+    out_labels = tmp_path / "pred.csv"
+    code = main([
+        "cluster", "--data", str(data), "--labels", str(labels),
+        "--algorithm", "tsc", "--l-max", l_max, "--out-labels", str(out_labels),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == "error: l_max must be at least 1\n"
+    assert not out_labels.exists()
+
+
 def test_cluster_missing_file(tmp_path, capsys):
     code = main([
         "cluster", "--data", str(tmp_path / "nope.csv"), "--algorithm", "tsc",
@@ -378,6 +391,25 @@ def test_experiment_config_validation():
         ExperimentConfig.from_mapping({"m": 10, "dims": [2], "counts": [5], "algorithms": ["kmeans"]})
     with pytest.raises(ValueError):
         ExperimentConfig.from_mapping({"m": 10, "dims": [2], "counts": [5], "p_values": [11]})
+    with pytest.raises(ValueError, match="l_max must be at least 1"):
+        ExperimentConfig.from_mapping({"m": 10, "dims": [2], "counts": [5], "l_max": 0})
+    # every cell, p=0 included, loops over the kinds
+    for p_values in ([0], [0, 6]):
+        with pytest.raises(ValueError, match="no projector kinds given"):
+            ExperimentConfig.from_mapping(
+                {"m": 10, "dims": [2], "counts": [5], "kinds": [], "p_values": p_values}
+            )
+
+
+def test_sweep_cli_rejects_empty_kinds_at_p_zero(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    code = main([
+        "sweep", "--m", "24", "--dims", "2,2", "--counts", "10,10",
+        "--p-values", "0", "--kinds", "", "--out", str(out),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == "error: no projector kinds given\n"
+    assert not out.exists()
 
 
 def test_check_rows_and_flags(tmp_path, capsys):
@@ -473,7 +505,7 @@ PINNED_SWEEP_ROWS = [
     (8, "ssc", "gaussian", 11719112351670797992, 0.7, 0, 8),
     (8, "ssc", "hadamard_sign", 9574799564544175848, 0.65, 1, 7),
     (8, "tsc", "fourier_sign", 886369040772539732, 0.6, 2, 6),
-    (8, "tsc", "gaussian", 11719112351670797992, 0.55, 0, 6),
+    (8, "tsc", "gaussian", 11719112351670797992, 0.6, 0, 6),
     (8, "tsc", "hadamard_sign", 9574799564544175848, 0.55, 0, 6),
 ]
 

@@ -181,6 +181,14 @@ def test_spectral_cluster_invalid_cluster_count():
         spectral_cluster(adj, n_clusters=9)
 
 
+@pytest.mark.parametrize("n_clusters", [None, 2])
+def test_spectral_cluster_rejects_l_max_below_one(n_clusters):
+    adj = block_adjacency([4, 4])
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="l_max must be at least 1"):
+            spectral_cluster(adj, n_clusters=n_clusters, l_max=bad)
+
+
 def test_spectral_cluster_deterministic():
     rng = np.random.default_rng(11)
     adj = block_adjacency([7, 7, 7], rng=rng, off_value=0.01)
@@ -387,10 +395,11 @@ def test_all_isolated_vertices():
 
 
 def test_tsc_graph_with_many_components():
-    # q=1 on standard-normal points in R^20: a forest of 144 small components
+    # q=1 on standard-normal points in R^20: a forest of 603 small components,
+    # so k=11 stays inside the zero eigenvalues and k=700 reaches past them
     x = np.random.default_rng(0).standard_normal((20, 2400))
     adj = tsc_adjacency(x, TscConfig(q=1))
     n_comp = connected_components(adj).max() + 1
-    assert n_comp == 144
-    for k in (11, 200):
+    assert n_comp == 603
+    for k in (11, 700):
         assert_bottom_pairs_match_dense(adj, k)

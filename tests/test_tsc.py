@@ -13,18 +13,18 @@ from rpcluster import tsc
 
 
 def dense_adjacency_oracle(x, q):
-    """Loop construction of the adjacency: per-point sort, spherical weights."""
+    """Loop construction of the adjacency: per-point |cosine| sort, spherical weights."""
     n = x.shape[1]
     norms = np.linalg.norm(x, axis=0)
     z = np.zeros((n, n))
     for j in range(n):
         scores = [
-            (-abs(x[:, j] @ x[:, i]), i) for i in range(n) if i != j
+            (-abs(x[:, j] @ x[:, i]) / (norms[j] * norms[i]), i)
+            for i in range(n) if i != j
         ]
         scores.sort()
-        for _, i in scores[:q]:
-            c = abs(x[:, j] @ x[:, i]) / (norms[j] * norms[i])
-            z[i, j] = np.exp(-2.0 * np.arccos(min(max(c, 0.0), 1.0)))
+        for neg_c, i in scores[:q]:
+            z[i, j] = np.exp(-2.0 * np.arccos(min(max(-neg_c, 0.0), 1.0)))
     return z + z.T
 
 
@@ -43,8 +43,10 @@ def test_full_q_selects_everyone_else():
 
 
 def test_neighbors_match_brute_force_sort():
+    # on unit-norm points the |cosine| is the raw |product|
     rng = np.random.default_rng(1)
     x = rng.standard_normal((10, 30))
+    x /= np.linalg.norm(x, axis=0)
     scores = np.abs(x.T @ x)
     nbrs = tsc_neighbors(x, TscConfig(q=6))
     for j in range(30):
@@ -59,7 +61,7 @@ def test_normalized_neighbors_match_brute_force_cosine_sort():
     rng = np.random.default_rng(7)
     x = rng.standard_normal((10, 30))
     norms = np.linalg.norm(x, axis=0)
-    config = TscConfig(q=6, normalize_selection=True)
+    config = TscConfig(q=6)
     nbrs = tsc_neighbors(x, config)
     for j in range(30):
         ranked = sorted(
@@ -77,19 +79,24 @@ def score_in_blocks_of(rows, n, monkeypatch):
     monkeypatch.setattr(tsc, "BLOCK_ENTRIES", rows * n)
 
 
-TIE_CASES = [(q, normalize) for q in (1, 5) for normalize in (False, True)]
+TIE_CASES = [(q, scaled) for q in (1, 5) for scaled in (False, True)]
 
 
 @pytest.mark.parametrize(
-    "q, normalize, block_rows",
-    [pytest.param(q, norm, None, id=f"{q}-{norm}") for q, norm in TIE_CASES]
-    + [pytest.param(q, norm, 3, id=f"{q}-{norm}-3-row-blocks") for q, norm in TIE_CASES],
+    "q, scaled, block_rows",
+    [pytest.param(q, sc, None, id=f"{q}-{sc}") for q, sc in TIE_CASES]
+    + [pytest.param(q, sc, 3, id=f"{q}-{sc}-3-row-blocks") for q, sc in TIE_CASES],
 )
-def test_tied_neighbors_match_brute_force_sort(q, normalize, block_rows, monkeypatch):
-    # integer points in {-2..2}^3: exact products, so many rows have equal
-    # scores at the q-th place and the tie rule decides the neighbor set
-    x = np.random.default_rng(8).integers(-2, 3, size=(3, 60)).astype(float)
-    x[:, ~x.any(axis=0)] = 1.0
+def test_tied_neighbors_match_brute_force_sort(q, scaled, block_rows, monkeypatch):
+    # points with four +-1 entries in R^5 have norm 2, so normalizing is exact
+    # and the |cosines| are exact multiples of 1/4: many rows tie at the q-th
+    # place and the tie rule decides the neighbor set. Scaled by powers of
+    # two, the norms stay exact but raw products no longer rank like cosines.
+    rng = np.random.default_rng(8)
+    x = rng.choice([-1.0, 1.0], size=(5, 60))
+    x[rng.integers(0, 5, size=60), np.arange(60)] = 0.0
+    if scaled:
+        x *= 2.0 ** rng.integers(-3, 4, size=60)
     if block_rows:
         x = x[:, :59]  # the last block is short
         score_in_blocks_of(block_rows, x.shape[1], monkeypatch)
@@ -97,8 +104,7 @@ def test_tied_neighbors_match_brute_force_sort(q, normalize, block_rows, monkeyp
     norms = np.linalg.norm(x, axis=0)
 
     def score(j, i):
-        s = abs(x[:, j] @ x[:, i])
-        return s / (norms[j] * norms[i]) if normalize else s
+        return abs(x[:, j] @ x[:, i]) / (norms[j] * norms[i])
 
     ranked = [
         sorted((i for i in range(n) if i != j), key=lambda i: (-score(j, i), i))
@@ -106,7 +112,7 @@ def test_tied_neighbors_match_brute_force_sort(q, normalize, block_rows, monkeyp
     ]
     tied_rows = sum(score(j, r[q - 1]) == score(j, r[q]) for j, r in enumerate(ranked))
     assert tied_rows >= 10
-    nbrs = tsc_neighbors(x, TscConfig(q=q, normalize_selection=normalize))
+    nbrs = tsc_neighbors(x, TscConfig(q=q))
     assert nbrs.tolist() == [r[:q] for r in ranked]
 
 
@@ -160,13 +166,11 @@ def test_scale_invariance_close_for_any_scale():
     assert np.max(np.abs(a.weights.toarray() - b.weights.toarray())) < 1e-12
 
 
-def test_selection_uses_raw_products_by_default():
-    # a long vector wins raw selection, a unit vector wins after normalization
+def test_selection_ranks_by_cosine_not_raw_product():
+    # the long vector has the larger raw product with point 0 (6 against
+    # 0.98), the unit vector the larger |cosine| (0.98 against 0.6)
     x = np.column_stack([[1.0, 0.0], 10.0 * np.array([0.6, 0.8]), [0.98, np.sqrt(1 - 0.98**2)]])
-    raw = tsc_neighbors(x, TscConfig(q=1))
-    normed = tsc_neighbors(x, TscConfig(q=1, normalize_selection=True))
-    assert raw[0].tolist() == [1]
-    assert normed[0].tolist() == [2]
+    assert tsc_neighbors(x, TscConfig(q=1))[0].tolist() == [2]
 
 
 def test_every_point_keeps_at_least_q_connections():
@@ -209,7 +213,5 @@ def test_non_finite_column_rejected(bad):
     x[1, 2] = bad
     x[0, 4] = bad
     for build in (tsc_adjacency, tsc_neighbors):
-        for normalize in (False, True):
-            config = TscConfig(q=2, normalize_selection=normalize)
-            with pytest.raises(ValueError, match="column 2 has a non-finite entry"):
-                build(x, config)
+        with pytest.raises(ValueError, match="column 2 has a non-finite entry"):
+            build(x, TscConfig(q=2))
