@@ -95,8 +95,9 @@ class ExperimentConfig:
             raise ValueError("repetitions must be at least 1")
         if self.l_max < 1:
             raise ValueError("l_max must be at least 1")
-        # built once, so bad SSC settings fail here
+        # built once, so bad SSC or TSC settings fail here
         self.ssc = SscConfig(mode=self.ssc_mode, alpha=self.alpha)
+        self.tsc = TscConfig(q=self.q)
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "ExperimentConfig":
@@ -144,7 +145,7 @@ def _project(data: DataSet, kind: str, p: int, seed: int) -> tuple[DataSet, floa
 
 
 def _cluster_and_score(
-    algorithm: str, data: DataSet, ssc: SscConfig, q: int,
+    algorithm: str, data: DataSet, ssc: SscConfig, tsc: TscConfig,
     n_clusters: int | None, seed: int, l_max: int,
 ) -> tuple[dict, ClusteringResult, Adjacency]:
     """Build the graph, cluster it, and score it when the data carry labels.
@@ -155,7 +156,7 @@ def _cluster_and_score(
     if algorithm == "ssc":
         adj = ssc_adjacency(data, ssc)
     else:
-        adj = tsc_adjacency(data, TscConfig(q=q))
+        adj = tsc_adjacency(data, tsc)
     t1 = time.perf_counter()
     result = spectral_cluster(adj, n_clusters, seed=seed, l_max=l_max)
     t2 = time.perf_counter()
@@ -221,7 +222,7 @@ def run_sweep(config: ExperimentConfig) -> list:
                     row = dict(base, algorithm=alg)
                     try:
                         fields, _, _ = _cluster_and_score(
-                            alg, working, config.ssc, config.q,
+                            alg, working, config.ssc, config.tsc,
                             None, int(streams[2]), config.l_max,
                         )
                         row.update(fields, time_project_ms=time_project)
@@ -324,6 +325,7 @@ def cmd_gen(args) -> int:
 
 def cmd_cluster(args) -> int:
     ssc = SscConfig(mode=args.ssc_mode, alpha=args.alpha)
+    tsc = TscConfig(q=args.q)
     data = dataio.read_dataset(args.data, args.labels)
     if not 0 <= args.p <= data.dim:
         raise ValueError(f"p={args.p} must lie in [0, m={data.dim}]")
@@ -331,7 +333,7 @@ def cmd_cluster(args) -> int:
         raise ValueError("p > 0 needs a projection kind")
     working, time_project = _project(data, args.projection, args.p, args.proj_seed)
     fields, result, adj = _cluster_and_score(
-        args.algorithm, working, ssc, args.q,
+        args.algorithm, working, ssc, tsc,
         args.clusters, args.kmeans_seed, args.l_max,
     )
     dataio.write_labels_csv(args.out_labels, result.labels)

@@ -144,9 +144,3 @@ def write_adjacency_csv(path, adj: Adjacency) -> None:
             for j, v in zip(w.indices[lo:hi], w.data[lo:hi]):
                 row[j] = FLOAT_FMT.format(v)
             writer.writerow(row)
-
-
-def read_adjacency_csv(path) -> Adjacency:
-    """Read an adjacency matrix written by write_adjacency_csv."""
-    values = read_points_csv(path).T
-    return Adjacency(values)

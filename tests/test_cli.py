@@ -412,6 +412,38 @@ def test_sweep_cli_rejects_empty_kinds_at_p_zero(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sweep_cli_rejects_q_below_one(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    code = main([
+        "sweep", "--m", "24", "--dims", "2,2", "--counts", "10,10",
+        "--p-values", "0", "--kinds", "gaussian", "--q", "0", "--out", str(out),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == "error: q must be at least 1\n"
+    assert not out.exists()
+    assert not summary_path(out).exists()
+
+
+def test_experiment_config_builds_tsc_config():
+    config = ExperimentConfig(m=10, dims=[2], counts=[5], q=6)
+    assert config.tsc.q == 6
+    with pytest.raises(ValueError, match="q must be at least 1"):
+        ExperimentConfig(m=10, dims=[2], counts=[5], q=0)
+
+
+def test_cluster_rejects_q_below_one_for_ssc(tmp_path, capsys):
+    # TSC settings are checked whichever graph is built, as SSC ones are
+    data, labels = run_gen(tmp_path, seed=6)
+    out = tmp_path / "x.csv"
+    code = main([
+        "cluster", "--data", str(data), "--labels", str(labels),
+        "--algorithm", "ssc", "--q", "0", "--out-labels", str(out),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == "error: q must be at least 1\n"
+    assert not out.exists()
+
+
 def test_check_rows_and_flags(tmp_path, capsys):
     out = tmp_path / "check.csv"
     code = main([

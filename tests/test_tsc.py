@@ -116,6 +116,53 @@ def test_tied_neighbors_match_brute_force_sort(q, scaled, block_rows, monkeypatc
     assert nbrs.tolist() == [r[:q] for r in ranked]
 
 
+NEAR_TIE_GAPS = (1e-12, 1e-11, 1e-10, 1e-9, 1e-8)
+
+
+def near_tie_points(dim, q, rng):
+    """Unit points in R^dim, shuffled: each gap g in NEAR_TIE_GAPS gets four
+    anchors whose q+1 nearest points have |cosines| 0.999 - k*g, k = 0..q,
+    with random signs, among 20 random points."""
+    points = []
+    for gap in np.repeat(NEAR_TIE_GAPS, 4):
+        anchor = rng.standard_normal(dim)
+        anchor /= np.linalg.norm(anchor)
+        points.append(anchor)
+        for k in range(q + 1):
+            w = rng.standard_normal(dim)
+            w -= (w @ anchor) * anchor
+            w /= np.linalg.norm(w)
+            c = 0.999 - k * gap
+            points.append(rng.choice([-1.0, 1.0]) * (c * anchor + np.sqrt(1 - c * c) * w))
+    points.extend(rng.standard_normal((20, dim)))
+    x = np.column_stack(points)[:, rng.permutation(len(points))]
+    return x / np.linalg.norm(x, axis=0)
+
+
+@pytest.mark.parametrize("block_rows", [None, 3], ids=["one-block", "3-row-blocks"])
+@pytest.mark.parametrize("dim", [5, 20, 1000])
+def test_near_tied_neighbors_match_brute_force_sort(dim, block_rows, monkeypatch):
+    # the q-th and (q+1)-th |cosines| of each anchor differ by 1e-12 to 1e-8:
+    # below float32 resolution near 1 (2^-24 = 6e-8), far above float64 rounding
+    q = 5
+    x = near_tie_points(dim, q, np.random.default_rng(dim))
+    n = x.shape[1]
+    if block_rows:
+        score_in_blocks_of(block_rows, n, monkeypatch)  # 160 = 53 * 3 + 1
+    scores = np.array([[abs(x[:, j] @ x[:, i]) for i in range(n)] for j in range(n)])
+    ranked = [
+        sorted((i for i in range(n) if i != j), key=lambda i: (-scores[j, i], i))
+        for j in range(n)
+    ]
+    gaps = [scores[j, r[q - 1]] - scores[j, r[q]] for j, r in enumerate(ranked)]
+    for gap in NEAR_TIE_GAPS:
+        assert any(0.5 * gap < g < 2 * gap for g in gaps)
+    nbrs, cosines = tsc._select(x, TscConfig(q=q))
+    assert nbrs.tolist() == [r[:q] for r in ranked]
+    chosen = np.take_along_axis(scores, nbrs, axis=1)
+    assert np.max(np.abs(cosines - chosen)) <= 4 * dim * 2.0**-53
+
+
 def test_ties_break_toward_lower_index():
     # columns 1 and 2 are identical, both tie as neighbors of column 0
     base = np.array([1.0, 0.0])
