@@ -25,7 +25,6 @@ from .project import (
     explicit_projector,
     project_columns,
     apply,
-    as_matrix,
     is_identity,
     jl_distortion_survey,
 )
@@ -36,7 +35,6 @@ from .ssc import (
     ssc_coefficients,
     ssc_adjacency,
     adjacency_from_coefficients,
-    write_diagnostics_csv,
 )
 from .tsc import TscConfig, tsc_neighbors, tsc_adjacency
 from .spectral import (
@@ -78,7 +76,6 @@ __all__ = [
     "explicit_projector",
     "project_columns",
     "apply",
-    "as_matrix",
     "is_identity",
     "jl_distortion_survey",
     "SscConfig",
@@ -87,7 +84,6 @@ __all__ = [
     "ssc_coefficients",
     "ssc_adjacency",
     "adjacency_from_coefficients",
-    "write_diagnostics_csv",
     "TscConfig",
     "tsc_neighbors",
     "tsc_adjacency",

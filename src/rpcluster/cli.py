@@ -13,7 +13,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import asdict, dataclass, field, fields as dataclass_fields
 from pathlib import Path
 
 import numpy as np
@@ -394,7 +394,7 @@ def cmd_check(args) -> int:
             proj = None
             projection = "none"
         report = theorem_report(model, proj, cal, tau=args.tau, q=args.q)
-        record = report.to_record()
+        record = asdict(report)
         record["p"] = p if p > 0 else 0
         record["projection"] = projection
         rows.append(record)
@@ -402,7 +402,7 @@ def cmd_check(args) -> int:
             f"p={record['p']} exact_ok={record['exact_ok']} "
             f"lasso_ok={record['lasso_ok']} tsc_ok={record['tsc_ok']}"
         )
-    fields = ["projection"] + list(TheoremReport.FIELDS)
+    fields = ["projection"] + [f.name for f in dataclass_fields(TheoremReport)]
     _write_rows(args.out, fields, rows)
     print(f"wrote {args.out}")
     return 0

@@ -161,36 +161,6 @@ class TheoremReport:
     tsc_ok: bool
     notes: str = ""
 
-    FIELDS = (
-        "n_points",
-        "n_subspaces",
-        "d_max",
-        "rho_min",
-        "aff_max",
-        "p",
-        "c_tilde",
-        "tau",
-        "q",
-        "exact_lhs",
-        "exact_rhs",
-        "exact_ok",
-        "lasso_lhs",
-        "lasso_rhs",
-        "lasso_min_points_ok",
-        "lasso_ok",
-        "tsc_lhs",
-        "tsc_rhs",
-        "tsc_ok",
-        "notes",
-    )
-
-    def to_record(self) -> dict:
-        """Flat key-value record, keys in a stable order."""
-        return {name: getattr(self, name) for name in self.FIELDS}
-
-    def to_text(self) -> str:
-        return "\n".join(f"{k}={v}" for k, v in self.to_record().items())
-
 
 def theorem_report(
     model: UnionModel,

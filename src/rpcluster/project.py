@@ -142,13 +142,6 @@ def apply(proj: Projector, data: DataSet) -> DataSet:
     return DataSet(project_columns(proj, data.points), data.labels)
 
 
-def as_matrix(proj: Projector) -> np.ndarray:
-    """Materialize the projector as its dense p x m matrix."""
-    if proj.dense is not None:
-        return proj.dense
-    return project_columns(proj, np.eye(proj.m))
-
-
 def is_identity(proj: Projector | None) -> bool:
     """True when the projector is absent or an explicit identity matrix."""
     if proj is None:

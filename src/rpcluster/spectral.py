@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -19,7 +19,6 @@ class ClusteringResult:
     labels: np.ndarray
     n_clusters: int
     eigenvalues: np.ndarray
-    metadata: dict = field(default_factory=dict)
 
 
 def _inv_sqrt_degree(w: sparse.csr_array) -> np.ndarray:
@@ -59,27 +58,26 @@ def _sparse_flipped_laplacian(adj: Adjacency) -> sparse.csr_array:
 
 def laplacian_eigenvalues(adj: Adjacency) -> np.ndarray:
     """All eigenvalues of the normalized Laplacian, ascending."""
-    return np.linalg.eigvalsh(normalized_laplacian(adj))
+    return _bottom_eigh(adj, adj.n, eigvals_only=True)
 
 
-# Graphs of this many vertices or more take the sparse path: 2I - L as CSR
-# and one solve per connected component, by Lanczos (ARPACK eigsh) on
-# components of this size or more and by numpy's dense eigh below it. ARPACK
-# runs per component because a Krylov space finds a repeated eigenvalue one
-# copy at a time: on whole TSC graphs with 6 zero eigenvalues it returned
-# only 4 of them, and whole-graph shift-invert missed copies of the 6-fold
-# eigenvalues of 6 identical blocks in 6 of 10 seeds. Inside a component the
-# zero eigenvalue is simple. spectral_cluster with 6 clusters on
-# one-component TSC graphs (6 subspaces of R^100, Gaussian p=20, q=8), 2
-# vCPUs, median per call, dense eigh against the sparse path: N=150 11-17
-# against 14-19 ms, N=200 16-22 against 15-22 ms, N=300 23-30 against
-# 19-23 ms, N=402 34-48 against 18-29 ms, N=600 67 against 23 ms, N=1000
-# 197 against 36 ms, N=2400 2.0 s against 0.095 s. The sparse path wins
-# from about N=250; the switch stays at 400, where the gain clears the
-# spread between runs. Graphs below the switch also stay off scipy's own
-# OpenBLAS thread pool: with the sparse path at N=150, a loop of N=150
-# lasso SSC graph + spectral_cluster (3 subspaces, Gaussian p=20) took
-# 0.031-0.035 s a job, against 0.021-0.027 s on the dense path.
+# Every graph is solved as 2I - L in CSR, one connected component at a time:
+# by Lanczos (ARPACK eigsh) on components of this many vertices or more, by
+# numpy's dense eigh below. ARPACK runs per component because a Krylov space
+# finds a repeated eigenvalue one copy at a time: on whole TSC graphs with 6
+# zero eigenvalues it returned only 4 of them, and whole-graph shift-invert
+# missed copies of the 6-fold eigenvalues of 6 identical blocks in 6 of 10
+# seeds. Inside a component the zero eigenvalue is simple. spectral_cluster
+# with 6 clusters on one-component TSC graphs (6 subspaces of R^100, Gaussian
+# p=20, q=8), 2 vCPUs, median per call, dense eigh against Lanczos: N=150
+# 11-17 against 14-19 ms, N=200 16-22 against 15-22 ms, N=300 23-30 against
+# 19-23 ms, N=402 34-48 against 18-29 ms, N=600 67 against 23 ms, N=1000 197
+# against 36 ms, N=2400 2.0 s against 0.095 s. Lanczos wins from about
+# N=250; the switch stays at 400, where the gain clears the spread between
+# runs. Smaller components also stay off scipy's own OpenBLAS thread pool:
+# with Lanczos at N=150, a loop of N=150 lasso SSC graph + spectral_cluster
+# (3 subspaces, Gaussian p=20) took 0.031-0.035 s a job, against
+# 0.021-0.027 s with the dense solve.
 SPARSE_SOLVE_MIN_N = 400
 
 # Lanczos stops when every Ritz residual is at most LANCZOS_TOL times its
@@ -125,8 +123,13 @@ def _component_bottom_eigh(flipped: sparse.csr_array, k: int) -> tuple[np.ndarra
     return 2.0 - vals[order], vecs[:, order]
 
 
-def _sparse_bottom_eigh(adj: Adjacency, k: int, eigvals_only: bool):
-    """The bottom k eigenpairs, solved per connected component and merged."""
+def _bottom_eigh(adj: Adjacency, k: int, eigvals_only: bool = False):
+    """The min(k, N) smallest Laplacian eigenvalues, ascending, and their vectors,
+    solved per connected component and merged.
+
+    Like scipy.linalg.eigh, returns only the eigenvalues when eigvals_only.
+    """
+    k = min(k, adj.n)
     flipped = _sparse_flipped_laplacian(adj)
     _, comp = csgraph.connected_components(adj.weights, directed=False)
     sizes = np.bincount(comp)
@@ -152,21 +155,6 @@ def _sparse_bottom_eigh(adj: Adjacency, k: int, eigvals_only: bool):
     return vals[keep], out
 
 
-def _bottom_eigh(adj: Adjacency, k: int, eigvals_only: bool = False):
-    """The min(k, N) smallest Laplacian eigenvalues, ascending, and their vectors.
-
-    Like scipy.linalg.eigh, returns only the eigenvalues when eigvals_only.
-    """
-    k = min(k, adj.n)
-    if adj.n >= SPARSE_SOLVE_MIN_N:
-        return _sparse_bottom_eigh(adj, k, eigvals_only)
-    lap = normalized_laplacian(adj)
-    if eigvals_only:
-        return np.linalg.eigvalsh(lap)[:k]
-    vals, vecs = np.linalg.eigh(lap)
-    return vals[:k], vecs[:, :k]
-
-
 def _largest_gap(vals: np.ndarray, l_max: int) -> int:
     """1 + argmax of the first l_max gaps of ascending vals; 1 when there is no gap."""
     top = min(l_max, vals.shape[0] - 1)
@@ -186,6 +174,10 @@ def eigengap_estimate(adj: Adjacency, l_max: int = 10) -> int:
     return _largest_gap(_bottom_eigh(adj, l_max + 1, eigvals_only=True), l_max)
 
 
+KMEANS_RESTARTS = 10
+KMEANS_MAX_ITER = 100
+
+
 def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = points.shape[0]
     centers = np.empty((k, points.shape[1]))
@@ -202,10 +194,10 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return centers
 
 
-def _lloyd(points: np.ndarray, centers: np.ndarray, max_iter: int) -> tuple[np.ndarray, float]:
+def _lloyd(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, float]:
     k = centers.shape[0]
     labels = np.full(points.shape[0], -1)
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         dists = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         new_labels = np.argmin(dists, axis=1)
         if np.array_equal(new_labels, labels):
@@ -226,13 +218,7 @@ def _lloyd(points: np.ndarray, centers: np.ndarray, max_iter: int) -> tuple[np.n
     return labels, inertia
 
 
-def kmeans(
-    points: np.ndarray,
-    k: int,
-    seed: int,
-    n_restarts: int = 10,
-    max_iter: int = 100,
-) -> tuple[np.ndarray, float]:
+def kmeans(points: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, float]:
     """Seeded k-means++ with restarts; returns (labels, inertia) of the best run.
 
     Restarts share one generator stream, and the best run wins on strictly
@@ -246,9 +232,9 @@ def kmeans(
     rng = np.random.default_rng(seed)
     best_labels = None
     best_inertia = np.inf
-    for _ in range(n_restarts):
+    for _ in range(KMEANS_RESTARTS):
         centers = _kmeans_pp_init(points, k, rng)
-        labels, inertia = _lloyd(points, centers, max_iter)
+        labels, inertia = _lloyd(points, centers)
         if inertia < best_inertia:
             best_inertia = inertia
             best_labels = labels
@@ -260,8 +246,6 @@ def spectral_cluster(
     n_clusters: int | None = None,
     seed: int = 0,
     l_max: int = 10,
-    n_restarts: int = 10,
-    max_iter: int = 100,
 ) -> ClusteringResult:
     """Cluster the rows of the normalized Laplacian eigenvector embedding.
 
@@ -282,20 +266,11 @@ def spectral_cluster(
     row_norms = np.linalg.norm(embedding, axis=1)
     nz = row_norms > 0
     embedding[nz] = embedding[nz] / row_norms[nz, None]
-    labels, inertia = kmeans(
-        embedding, n_clusters, seed, n_restarts=n_restarts, max_iter=max_iter
-    )
+    labels, _ = kmeans(embedding, n_clusters, seed)
     return ClusteringResult(
         labels=labels,
         n_clusters=n_clusters,
         eigenvalues=vals[: min(adj.n, n_clusters + 1)],
-        metadata={
-            "seed": seed,
-            "n_restarts": n_restarts,
-            "max_iter": max_iter,
-            "inertia": inertia,
-            "l_max": l_max,
-        },
     )
 
 

@@ -11,7 +11,7 @@ and "lasso_admm" is the penalized variant
 with the per-column weight lambda_j = mu_j / alpha where
 mu_j = max_{i != j} |<x_i, x_j>|. The lasso solution is zero for
 lambda >= mu_j, so alpha must exceed 1. Despite its name, which stays because
-it is a CLI choice and a CSV value, the lasso mode is not solved by ADMM.
+it is a CLI choice, the lasso mode is not solved by ADMM.
 Both modes run a lasso homotopy (Osborne, Presnell & Turlach 2000; Efron et
 al. 2004): each column follows its piecewise-linear solution path from
 lambda = mu_j down, a few steps per nonzero coefficient. The lasso stops at
@@ -31,9 +31,8 @@ graph from them, and only ssc_coefficients forms the dense N x N Z.
 
 from __future__ import annotations
 
-import csv
 import warnings
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -468,13 +467,3 @@ def ssc_adjacency(data, config: SscConfig | None = None, return_info: bool = Fal
     if return_info:
         return adj, infos
     return adj
-
-
-def write_diagnostics_csv(infos: list[SscColumnInfo], path) -> None:
-    """Dump per-column solver diagnostics to CSV."""
-    fields = [f.name for f in dataclass_fields(SscColumnInfo)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(fields)
-        for info in infos:
-            writer.writerow([getattr(info, f) for f in fields])

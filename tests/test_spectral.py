@@ -138,7 +138,6 @@ def test_spectral_cluster_metadata_and_eigenvalues():
     adj = block_adjacency([5, 5])
     result = spectral_cluster(adj, seed=3)
     assert result.eigenvalues[0] < 1e-8
-    assert result.metadata["seed"] == 3
     assert result.labels.max() < result.n_clusters
 
 
@@ -210,18 +209,23 @@ def large_block_graph(n):
 
 @pytest.mark.parametrize("offset", [-1, 0], ids=["numpy-eigh", "sparse"])
 def test_bottom_eigenpairs_on_large_block_graph(offset, monkeypatch):
+    # on both sides of SPARSE_SOLVE_MIN_N the graph is solved per component:
+    # 6 blocks of about 66 vertices, each by numpy's eigh, with no Lanczos
     n = spectral.SPARSE_SOLVE_MIN_N + offset
     adj, sizes = large_block_graph(n)
-    sparse_calls = []
-    sparse_solve = spectral._sparse_bottom_eigh
+    component_calls = []
+    component_solve = spectral._component_bottom_eigh
     monkeypatch.setattr(
         spectral,
-        "_sparse_bottom_eigh",
-        lambda adj, k, eigvals_only: sparse_calls.append(k) or sparse_solve(adj, k, eigvals_only),
+        "_component_bottom_eigh",
+        lambda flipped, k: component_calls.append((flipped.shape[0], k))
+        or component_solve(flipped, k),
     )
+    calls = counting_eigsh(monkeypatch)
     result = spectral_cluster(adj, seed=0)
     assert eigengap_estimate(adj) == 6
-    assert sparse_calls == ([] if offset < 0 else [11, 11])
+    assert component_calls == [(size, 11) for size in sizes] * 2
+    assert calls == []
     assert result.n_clusters == 6
     # six repeated zeros, then the first nonzero eigenvalue
     full = np.linalg.eigvalsh(normalized_laplacian(adj))
@@ -231,13 +235,19 @@ def test_bottom_eigenpairs_on_large_block_graph(offset, monkeypatch):
     assert clustering_error(result.labels[: n - 2], blocks) == 0.0
 
 
-def test_both_eigensolvers_give_the_same_labels(monkeypatch):
+def test_both_eigensolvers_give_the_same_labels():
+    # the per-component solve against one dense eigh of the whole Laplacian,
+    # embedded and clustered the way spectral_cluster does it
     adj, _ = large_block_graph(spectral.SPARSE_SOLVE_MIN_N)
-    sparse = spectral_cluster(adj, n_clusters=6, seed=2)
-    monkeypatch.setattr(spectral, "SPARSE_SOLVE_MIN_N", adj.n + 1)
-    dense = spectral_cluster(adj, n_clusters=6, seed=2)
-    assert np.array_equal(sparse.labels, dense.labels)
-    assert np.max(np.abs(sparse.eigenvalues - dense.eigenvalues)) < 1e-12
+    per_component = spectral_cluster(adj, n_clusters=6, seed=2)
+    vals, vecs = np.linalg.eigh(normalized_laplacian(adj))
+    embedding = vecs[:, :6].copy()
+    row_norms = np.linalg.norm(embedding, axis=1)
+    nz = row_norms > 0
+    embedding[nz] = embedding[nz] / row_norms[nz, None]
+    dense_labels, _ = kmeans(embedding, 6, seed=2)
+    assert np.array_equal(per_component.labels, dense_labels)
+    assert np.max(np.abs(per_component.eigenvalues - vals[:7])) < 1e-12
 
 
 def test_large_graph_cluster_count_checked_before_solve(monkeypatch):
@@ -386,20 +396,21 @@ def assert_bottom_pairs_match_dense(adj, k):
 
 
 def test_all_isolated_vertices():
-    n = 2400
-    adj = Adjacency(np.zeros((n, n)))
-    vals, vecs = spectral._bottom_eigh(adj, 11)
-    assert np.array_equal(vals, np.ones(11))
-    assert np.array_equal(vecs, np.eye(n)[:, :11])
-    assert_bottom_pairs_match_dense(adj, 11)
+    for n in (2400, 150):
+        adj = Adjacency(np.zeros((n, n)))
+        vals, vecs = spectral._bottom_eigh(adj, 11)
+        assert np.array_equal(vals, np.ones(11))
+        assert np.array_equal(vecs, np.eye(n)[:, :11])
+        assert_bottom_pairs_match_dense(adj, 11)
 
 
 def test_tsc_graph_with_many_components():
-    # q=1 on standard-normal points in R^20: a forest of 603 small components,
-    # so k=11 stays inside the zero eigenvalues and k=700 reaches past them
-    x = np.random.default_rng(0).standard_normal((20, 2400))
-    adj = tsc_adjacency(x, TscConfig(q=1))
-    n_comp = connected_components(adj).max() + 1
-    assert n_comp == 603
-    for k in (11, 700):
-        assert_bottom_pairs_match_dense(adj, k)
+    # q=1 on standard-normal points in R^20: a forest of small components (603
+    # at N=2400, 78 at N=300), so k=11 stays inside the zero eigenvalues and
+    # the larger k reaches past them
+    for n, n_comp, ks in ((2400, 603, (11, 700)), (300, 78, (11, 100))):
+        x = np.random.default_rng(0).standard_normal((20, n))
+        adj = tsc_adjacency(x, TscConfig(q=1))
+        assert connected_components(adj).max() + 1 == n_comp
+        for k in ks:
+            assert_bottom_pairs_match_dense(adj, k)

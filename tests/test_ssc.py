@@ -1,4 +1,3 @@
-import csv
 import re
 import tracemalloc
 import warnings
@@ -21,7 +20,6 @@ from rpcluster import (
     random_orthonormal_basis,
     ssc_adjacency,
     ssc_coefficients,
-    write_diagnostics_csv,
 )
 from rpcluster import ssc
 from rpcluster.ssc import SSC_MODES
@@ -654,16 +652,3 @@ def test_adjacency_validation():
     rep = false_connections(adj, [0, 1, 1])
     assert rep.count == 0
     assert rep.total_edges == 1
-
-
-def test_diagnostics_csv(tmp_path):
-    data = subspace_data(6, 2, (5, 5), seed=29)
-    _, infos = ssc_coefficients(data.points, return_info=True)
-    out = tmp_path / "diag.csv"
-    write_diagnostics_csv(infos, out)
-    with open(out, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 10
-    assert rows[0]["mode"] == "lasso_admm"
-    assert "objective_history" not in rows[0]
-    assert int(rows[3]["column"]) == 3
