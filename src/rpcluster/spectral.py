@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
+from scipy import linalg, sparse
 from scipy.sparse import csgraph
 from scipy.sparse.linalg import eigsh
 
@@ -63,21 +63,18 @@ def laplacian_eigenvalues(adj: Adjacency) -> np.ndarray:
 
 # Every graph is solved as 2I - L in CSR, one connected component at a time:
 # by Lanczos (ARPACK eigsh) on components of this many vertices or more, by
-# numpy's dense eigh below. ARPACK runs per component because a Krylov space
-# finds a repeated eigenvalue one copy at a time: on whole TSC graphs with 6
-# zero eigenvalues it returned only 4 of them, and whole-graph shift-invert
-# missed copies of the 6-fold eigenvalues of 6 identical blocks in 6 of 10
-# seeds. Inside a component the zero eigenvalue is simple. spectral_cluster
-# with 6 clusters on one-component TSC graphs (6 subspaces of R^100, Gaussian
-# p=20, q=8), 2 vCPUs, median per call, dense eigh against Lanczos: N=150
-# 11-17 against 14-19 ms, N=200 16-22 against 15-22 ms, N=300 23-30 against
-# 19-23 ms, N=402 34-48 against 18-29 ms, N=600 67 against 23 ms, N=1000 197
-# against 36 ms, N=2400 2.0 s against 0.095 s. Lanczos wins from about
-# N=250; the switch stays at 400, where the gain clears the spread between
-# runs. Smaller components also stay off scipy's own OpenBLAS thread pool:
-# with Lanczos at N=150, a loop of N=150 lasso SSC graph + spectral_cluster
-# (3 subspaces, Gaussian p=20) took 0.031-0.035 s a job, against
-# 0.021-0.027 s with the dense solve.
+# a dense LAPACK solve for the bottom pairs below. ARPACK runs per component
+# because a Krylov space finds a repeated eigenvalue one copy at a time: on
+# whole TSC graphs with 6 zero eigenvalues it returned only 4 of them, and
+# whole-graph shift-invert missed copies of the 6-fold eigenvalues of 6
+# identical blocks in 6 of 10 seeds. Inside a component the zero eigenvalue
+# is simple. spectral_cluster with 6 clusters on one-component TSC graphs (6
+# subspaces of R^100, Gaussian p=20, q=8), 2 vCPUs, median of 15 interleaved
+# calls, dense against Lanczos: N=150 10.4 against 12.2 ms, N=198 11.2
+# against 13.2 ms, N=300 14.1 against 12.8 ms, N=402 24.0 against 17.8 ms,
+# N=600 37.5 against 24.9 ms, N=1002 92 against 39 ms. The crossover lies
+# between 200 and 400 vertices, inside the spread between runs (the
+# quartiles overlap at N=300 and at N=402); the switch stays at 400.
 SPARSE_SOLVE_MIN_N = 400
 
 # Lanczos stops when every Ritz residual is at most LANCZOS_TOL times its
@@ -91,20 +88,25 @@ SPARSE_SOLVE_MIN_N = 400
 LANCZOS_TOL = 1e-14
 
 
-def _component_bottom_eigh(flipped: sparse.csr_array, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _component_bottom_eigh(flipped: sparse.csr_array, k: int, eigvals_only: bool = False):
     """Bottom k Laplacian eigenpairs, ascending, of one connected component,
-    given as its block of 2I - L."""
+    given as its block of 2I - L; only the eigenvalues when eigvals_only."""
     n = flipped.shape[0]
     # Lanczos work grows faster than linearly in k. On one-component TSC
-    # graphs, Lanczos against the dense solve: k = n/15 at n=400 and 600, 25
-    # against 26 ms and 53 against 60 ms; k = n/20 at n=1000, 1500 and 2400,
-    # 158 against 185 ms, 488 against 431 ms and 1.6 against 2.4 s; k = n/10
-    # took 1.6-4.9x the dense time
+    # graphs (as above), the dense solve against Lanczos: k = n/20 at n=402,
+    # 600, 1002 and 1500, 15 against 17 ms, 41 against 41 ms, 124 against
+    # 229 ms and 0.34 against 0.56 s; k = n/30 at n=1500, 0.28 against 0.32 s;
+    # k = n/10 took Lanczos 2.1-4.2x the dense time
     if n < SPARSE_SOLVE_MIN_N or 20 * k > n:
         lap = -flipped.toarray()
         np.fill_diagonal(lap, 1.0)
-        vals, vecs = np.linalg.eigh(lap)
-        return vals[:k], vecs[:, :k]
+        if k == n:
+            return np.linalg.eigvalsh(lap) if eigvals_only else np.linalg.eigh(lap)
+        # LAPACK's dsyevr stops after the bottom k pairs: 1.1 ms at n=150
+        # and k=4, against 2.4-3.6 ms for numpy's eigh of all of them
+        return linalg.eigh(
+            lap, subset_by_index=[0, k - 1], eigvals_only=eigvals_only, check_finite=False
+        )
     # L's spectrum lies in [0, 2], so its bottom is the top of the PSD matrix
     # 2I - L, which plain Lanczos finds from products alone, with no factor.
     # The start vector and the vectors ARPACK draws when it restarts come
@@ -118,9 +120,13 @@ def _component_bottom_eigh(flipped: sparse.csr_array, k: int) -> tuple[np.ndarra
     # (4.1e-14 at most)
     rng = np.random.default_rng(0)
     v0 = rng.standard_normal(n)
-    vals, vecs = eigsh(flipped, 2 * k, which="LA", v0=v0, rng=rng, tol=LANCZOS_TOL)
+    found = eigsh(
+        flipped, 2 * k, which="LA", v0=v0, rng=rng, tol=LANCZOS_TOL,
+        return_eigenvectors=not eigvals_only,
+    )
+    vals, vecs = (found, None) if eigvals_only else found
     order = np.argsort(-vals)[:k]
-    return 2.0 - vals[order], vecs[:, order]
+    return 2.0 - vals[order] if eigvals_only else (2.0 - vals[order], vecs[:, order])
 
 
 def _bottom_eigh(adj: Adjacency, k: int, eigvals_only: bool = False):
@@ -131,17 +137,22 @@ def _bottom_eigh(adj: Adjacency, k: int, eigvals_only: bool = False):
     """
     k = min(k, adj.n)
     flipped = _sparse_flipped_laplacian(adj)
-    _, comp = csgraph.connected_components(adj.weights, directed=False)
+    n_comp, comp = csgraph.connected_components(adj.weights, directed=False)
     sizes = np.bincount(comp)
     # isolated vertices: eigenvalue exactly 1 with the unit vector, all at once
     isolated = np.flatnonzero(sizes[comp] == 1)[:k]
     parts = [(np.ones(len(isolated)), isolated, np.eye(len(isolated)))]
-    for members in np.split(np.argsort(comp, kind="stable"), np.cumsum(sizes)[:-1]):
-        if len(members) > 1:
-            vals, vecs = _component_bottom_eigh(
-                flipped[members][:, members], min(k, len(members))
-            )
-            parts.append((vals, members, vecs))
+    # one permutation makes every component a contiguous diagonal block
+    order = np.argsort(comp, kind="stable")
+    if n_comp > 1:
+        flipped = flipped[order][:, order]
+    ends = np.cumsum(sizes)
+    for a, b in zip(ends - sizes, ends):
+        if b - a > 1:
+            block = flipped if b - a == adj.n else flipped[a:b, a:b]
+            found = _component_bottom_eigh(block, min(k, b - a), eigvals_only)
+            vals, vecs = (found, None) if eigvals_only else found
+            parts.append((vals, order[a:b], vecs))
     vals = np.concatenate([p[0] for p in parts])
     keep = np.argsort(vals, kind="stable")[:k]
     if eigvals_only:
@@ -176,6 +187,14 @@ def eigengap_estimate(adj: Adjacency, l_max: int = 10) -> int:
 
 KMEANS_RESTARTS = 10
 KMEANS_MAX_ITER = 100
+# Restarts run in lockstep in groups whose (restarts, N, max(k, dim)) arrays
+# hold at most this many entries (256 KB of float64): all 10 restarts at
+# N=150 and k=3, 2 at a time at N=2400 and k=6, one at a time from N=2731
+# (k=6). kmeans on 2 vCPUs, median of 21 calls, against the serial loop:
+# N=150 (k=3) 1.04 against 2.44 ms; N=2400 (k=6) 15.1 against 27.9 ms at a
+# traced peak of 1.11 against 1.02 MB. All 10 restarts of N=2400 at once
+# took 18.2 ms and 4.24 MB, and 2.3 MB more peak RSS on tsc_large_n.
+LOCKSTEP_ENTRIES = 2**15
 
 
 def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -194,11 +213,53 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return centers
 
 
+def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared distance from each point to each center: (..., N, k) for centers
+    of shape (..., k, dim).
+
+    Bitwise equal to ((points[:, None] - centers[..., None, :, :]) ** 2).sum(-1),
+    without its dim-wide temporary: the coordinates are added in the order
+    numpy's pairwise sum adds a short contiguous axis, one by one below 8
+    terms, as 8 interleaved partial sums up to 128, by halves above.
+    """
+
+    def term(j):
+        diff = points[:, j, None] - centers[..., None, :, j]
+        return np.multiply(diff, diff, out=diff)
+
+    def total(lo, hi):
+        n = hi - lo
+        if n > 128:
+            half = n // 2 - n // 2 % 8
+            return total(lo, lo + half) + total(lo + half, hi)
+        if n < 8:
+            acc = term(lo)
+            for j in range(lo + 1, hi):
+                acc += term(j)
+            return acc
+
+        def every_8th(j):
+            acc = term(lo + j)
+            for i in range(lo + 8 + j, hi - n % 8, 8):
+                acc += term(i)
+            return acc
+
+        acc = ((every_8th(0) + every_8th(1)) + (every_8th(2) + every_8th(3))) + (
+            (every_8th(4) + every_8th(5)) + (every_8th(6) + every_8th(7))
+        )
+        for j in range(hi - n % 8, hi):
+            acc += term(j)
+        return acc
+
+    return total(0, points.shape[1])
+
+
 def _lloyd(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, float]:
+    """One restart of Lloyd's iteration from centers, which it overwrites."""
     k = centers.shape[0]
     labels = np.full(points.shape[0], -1)
     for _ in range(KMEANS_MAX_ITER):
-        dists = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        dists = _sq_dists(points, centers)
         new_labels = np.argmin(dists, axis=1)
         if np.array_equal(new_labels, labels):
             break
@@ -212,9 +273,60 @@ def _lloyd(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, float]:
                 worst = int(np.argmax(dists[np.arange(len(labels)), labels]))
                 centers[c] = points[worst]
                 labels[worst] = c
-    dists = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    dists = _sq_dists(points, centers)
     labels = np.argmin(dists, axis=1)
     inertia = float(dists[np.arange(len(labels)), labels].sum())
+    return labels, inertia
+
+
+def _cluster_means(points: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """(R, k, dim) cluster means for (R, N) labels with (R, k) nonzero counts.
+
+    np.bincount adds each (restart, cluster, coordinate) bin's points in point
+    order, as numpy's mean over axis 0 of two or more columns does, so each
+    mean is bitwise points[labels[r] == c].mean(axis=0).
+    """
+    n_restarts, k = counts.shape
+    dim = points.shape[1]
+    bins = (labels + k * np.arange(n_restarts)[:, None])[..., None] * dim + np.arange(dim)
+    sums = np.bincount(bins.ravel(), np.tile(points.ravel(), n_restarts), counts.size * dim)
+    return sums.reshape(n_restarts, k, dim) / counts[..., None]
+
+
+def _lloyd_restarts(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_lloyd from each of the (R, k, dim) centers: (R, N) labels, (R,) inertias.
+
+    The restarts iterate in lockstep, each until its labels repeat, with the
+    same arithmetic as _lloyd. A restart that empties a cluster is run again
+    by _lloyd from its start, and so are all of them on one-column points,
+    whose mean numpy sums pairwise, unlike _cluster_means.
+    """
+    n_restarts, k, _ = centers.shape
+    labels = np.full((n_restarts, points.shape[0]), -1)
+    inertia = np.empty(n_restarts)
+    serial = [] if points.shape[1] > 1 else list(range(n_restarts))
+    live = np.setdiff1d(np.arange(n_restarts), serial)
+    current = centers[live]
+    for it in range(KMEANS_MAX_ITER + 1):
+        dists = _sq_dists(points, current)
+        new_labels = np.argmin(dists, axis=2)
+        # done when the labels repeat, or after KMEANS_MAX_ITER updates
+        done = (new_labels == labels[live]).all(axis=1) | (it == KMEANS_MAX_ITER)
+        labels[live[done]] = new_labels[done]
+        picked = np.take_along_axis(dists[done], new_labels[done, :, None], axis=2)
+        inertia[live[done]] = picked[..., 0].sum(axis=1)
+        moving = np.flatnonzero(~done)
+        bins = (new_labels[moving] + k * np.arange(len(moving))[:, None]).ravel()
+        counts = np.bincount(bins, minlength=k * len(moving)).reshape(-1, k)
+        full = counts.min(axis=1) > 0
+        serial.extend(live[moving[~full]])
+        live, moving = live[moving[full]], moving[full]
+        if not len(live):
+            break
+        labels[live] = new_labels[moving]
+        current = _cluster_means(points, labels[live], counts[full])
+    for r in serial:
+        labels[r], inertia[r] = _lloyd(points, centers[r].copy())
     return labels, inertia
 
 
@@ -230,15 +342,14 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, float]:
     if not 1 <= k <= points.shape[0]:
         raise ValueError(f"k={k} must be between 1 and the number of points")
     rng = np.random.default_rng(seed)
-    best_labels = None
-    best_inertia = np.inf
-    for _ in range(KMEANS_RESTARTS):
-        centers = _kmeans_pp_init(points, k, rng)
-        labels, inertia = _lloyd(points, centers)
-        if inertia < best_inertia:
-            best_inertia = inertia
-            best_labels = labels
-    return best_labels, best_inertia
+    # Lloyd draws nothing, so every start can be drawn before any restart runs
+    starts = np.stack([_kmeans_pp_init(points, k, rng) for _ in range(KMEANS_RESTARTS)])
+    group = max(1, LOCKSTEP_ENTRIES // (points.shape[0] * max(k, points.shape[1])))
+    runs = [_lloyd_restarts(points, starts[g : g + group]) for g in range(0, len(starts), group)]
+    labels = np.concatenate([run[0] for run in runs])
+    inertia = np.concatenate([run[1] for run in runs])
+    best = int(np.argmin(inertia))  # the first of equal inertias
+    return labels[best].copy(), float(inertia[best])
 
 
 def spectral_cluster(

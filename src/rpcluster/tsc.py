@@ -25,13 +25,20 @@ class TscConfig:
 # Score entries (float32) held per block of rows. Scoring a block takes two
 # float32 arrays of this size (the scores and the partition copy) and a
 # boolean mask, so beyond two copies of the points and the (N, q) output the
-# memory the selection needs does not grow with N. tsc_adjacency at N=2400
+# memory the selection needs does not grow with N up to N=8192 (then the
+# BLOCK_MIN_ROWS floor holds 16 N scores). tsc_adjacency at N=2400
 # (p=20, q=8) on 2 vCPUs, median of 21 interleaved calls: 39 ms at 2^14
 # entries (6 rows), 28-32 ms from 2^15 to 2^19 (13 to 218 rows), 45 ms at
 # 2^21 and 92 ms for all rows at once, as blocks outgrow the cache; at
 # N=6000 (p=20, q=6) the traced peak is 4.4 MB at 2^17 against 28 MB at 2^21
 # and 867 MB for all rows.
 BLOCK_ENTRIES = 2**17
+
+# Fewest rows a block holds. Each block's float32 product streams all of the
+# points, so a block of a few rows pays that read for little output: at
+# N=50k (p=20), x32[:, s:s+B].T @ x32 took 236 us a row at B=2 (2^17 // N),
+# 59 at B=8 and 27 at B=32. Every N <= 8192 keeps BLOCK_ENTRIES // N rows.
+BLOCK_MIN_ROWS = 16
 
 
 def _screen_margin(dim: int) -> float:
@@ -73,7 +80,7 @@ def _select(data, config: TscConfig) -> tuple[np.ndarray, np.ndarray]:
     float64 and sorted. At q=8 a row keeps 8.001 candidates on average
     (N=2400, p=20). On 2 vCPUs tsc_adjacency at p=20 takes 26 ms at N=2400
     and 0.45 s at N=12k, where scoring and partitioning every block in
-    float64 took 46 ms and 0.94 s.
+    float64 took 46 ms and 0.94 s. A block holds BLOCK_MIN_ROWS rows at least.
     """
     x = np.asarray(getattr(data, "points", data), dtype=float)
     if x.ndim != 2:
@@ -91,7 +98,7 @@ def _select(data, config: TscConfig) -> tuple[np.ndarray, np.ndarray]:
     margin = np.nextafter(np.float32(_screen_margin(x.shape[0])), np.float32(np.inf))
     neighbors = np.empty((n_pts, q), dtype=np.intp)
     cosines = np.empty((n_pts, q))
-    step = max(1, BLOCK_ENTRIES // n_pts)
+    step = max(BLOCK_MIN_ROWS, BLOCK_ENTRIES // n_pts)
     for start in range(0, n_pts, step):
         block = slice(start, min(start + step, n_pts))
         local = np.arange(block.stop - start)

@@ -167,6 +167,176 @@ def test_kmeans_deterministic_and_reasonable():
     assert clustering_error(labels1, truth) == 0.0
 
 
+def reference_kmeans_pp_init(points, k, rng):
+    n = points.shape[0]
+    centers = np.empty((k, points.shape[1]))
+    centers[0] = points[rng.integers(n)]
+    d2 = np.sum((points - centers[0]) ** 2, axis=1)
+    for i in range(1, k):
+        total = d2.sum()
+        if total == 0:
+            idx = int(rng.integers(n))
+        else:
+            idx = int(rng.choice(n, p=d2 / total))
+        centers[i] = points[idx]
+        d2 = np.minimum(d2, np.sum((points - centers[i]) ** 2, axis=1))
+    return centers
+
+
+def reference_lloyd(points, centers, revived):
+    """Lloyd's iteration with an (N, k, dim) broadcast per distance pass; the
+    Lloyd iteration at which a cluster is revived goes into revived."""
+    k = centers.shape[0]
+    labels = np.full(points.shape[0], -1)
+    for it in range(spectral.KMEANS_MAX_ITER):
+        dists = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        new_labels = np.argmin(dists, axis=1)
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for c in range(k):
+            members = labels == c
+            if np.any(members):
+                centers[c] = points[members].mean(axis=0)
+            else:
+                revived.append(it)
+                worst = int(np.argmax(dists[np.arange(len(labels)), labels]))
+                centers[c] = points[worst]
+                labels[worst] = c
+    dists = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    labels = np.argmin(dists, axis=1)
+    inertia = float(dists[np.arange(len(labels)), labels].sum())
+    return labels, inertia
+
+
+def reference_kmeans(points, k, seed, revived):
+    """k-means++ restarts one after another, each drawn just before its Lloyd
+    run: the oracle that kmeans must match bit for bit."""
+    rng = np.random.default_rng(seed)
+    best_labels, best_inertia = None, np.inf
+    for _ in range(spectral.KMEANS_RESTARTS):
+        centers = reference_kmeans_pp_init(points, k, rng)
+        labels, inertia = reference_lloyd(points, centers, revived)
+        if inertia < best_inertia:
+            best_inertia = inertia
+            best_labels = labels
+    return best_labels, best_inertia
+
+
+@pytest.mark.parametrize("dim", [1, 3, 7, 8, 10, 16, 23, 128, 130, 300])
+def test_squared_distances_bitwise_equal_broadcast_sum(dim):
+    # coordinates of very different scales, so any other order of the sum rounds
+    # differently: dim < 8 adds one by one, up to 128 in 8 interleaved partial
+    # sums, above that by halves
+    rng = np.random.default_rng(dim)
+    scales = 10.0 ** rng.uniform(-8, 8, dim)
+    points = rng.standard_normal((40, dim)) * scales
+    for centers in (points[:5], rng.standard_normal((3, 5, dim)) * scales):
+        expected = ((points[:, None, :] - centers[..., None, :, :]) ** 2).sum(axis=-1)
+        assert np.array_equal(spectral._sq_dists(points, centers), expected)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 8, 12])
+def test_cluster_means_bitwise_equal_numpy_mean(dim):
+    # coordinates of very different scales: summed in another order than
+    # point order (reversed, say) the means round differently
+    rng = np.random.default_rng(dim)
+    points = rng.standard_normal((300, dim)) * 10.0 ** rng.uniform(-8, 8, dim)
+    labels = rng.integers(0, 4, size=(3, 300))
+    counts = np.array([np.bincount(row, minlength=4) for row in labels])
+    assert counts.min() > 0
+    means = spectral._cluster_means(points, labels, counts)
+    for r in range(3):
+        for c in range(4):
+            assert np.array_equal(means[r, c], points[labels[r] == c].mean(axis=0))
+
+
+def spectral_embedding(adj, k):
+    """Row-normalized bottom-k eigenvectors, as spectral_cluster embeds them."""
+    vecs = spectral._bottom_eigh(adj, k)[1]
+    return vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+
+
+def tsc_embedding(n_subspaces, per_subspace, k):
+    bases = [random_orthonormal_basis(30, 4, seed) for seed in range(n_subspaces)]
+    data = generate(UnionModel(bases, (per_subspace,) * n_subspaces, seed=1))
+    return spectral_embedding(tsc_adjacency(data.points, TscConfig(q=6)), k)
+
+
+def mid_lloyd_empty_points():
+    # one of its k=3 restarts empties a cluster at the second Lloyd pass
+    rng = np.random.default_rng(472)
+    return rng.standard_normal((10, 2)) * rng.uniform(0.1, 3, (10, 1))
+
+
+@pytest.mark.parametrize(
+    "make_points, k, seed, revive",
+    [
+        pytest.param(lambda: tsc_embedding(3, 50, 3), 3, 5, None, id="N=150"),
+        pytest.param(lambda: tsc_embedding(6, 400, 6), 6, 6, None, id="N=2400"),
+        # 10 and 130 columns take numpy's 8-way and halving pairwise sums
+        pytest.param(lambda: tsc_embedding(3, 50, 10), 10, 7, None, id="N=150-dim-10"),
+        pytest.param(
+            lambda: np.random.default_rng(2).standard_normal((90, 130)), 4, 8, None,
+            id="dim-130",
+        ),
+        pytest.param(lambda: np.ones((40, 3)), 4, 9, "init", id="all-identical"),
+        pytest.param(mid_lloyd_empty_points, 3, 472, "lloyd", id="empty-mid-lloyd"),
+        # one column: numpy's mean sums it pairwise, so every restart runs alone
+        pytest.param(
+            lambda: np.random.default_rng(3).standard_normal((60, 1)), 3, 10, "serial",
+            id="one-column",
+        ),
+    ],
+)
+def test_kmeans_bitwise_equals_reference(make_points, k, seed, revive, monkeypatch):
+    points = make_points()
+    revived = []
+    expected_labels, expected_inertia = reference_kmeans(points, k, seed, revived)
+    serial_runs = []
+    lloyd = spectral._lloyd
+    monkeypatch.setattr(
+        spectral, "_lloyd", lambda p, c: serial_runs.append(1) or lloyd(p, c)
+    )
+    labels, inertia = kmeans(points, k, seed)
+    assert np.array_equal(labels, expected_labels)
+    assert inertia == expected_inertia
+    if revive is None:
+        assert revived == [] and serial_runs == []  # every restart ran in lockstep
+    elif revive == "serial":
+        assert len(serial_runs) == spectral.KMEANS_RESTARTS
+    else:
+        # revived at the first Lloyd pass (the starts coincide) or a later one
+        assert (min(revived) == 0) == (revive == "init")
+        assert 0 < len(serial_runs) <= spectral.KMEANS_RESTARTS
+
+
+@pytest.mark.parametrize("max_iter", [1, 2, 3])
+def test_kmeans_iteration_cap_matches_reference(max_iter, monkeypatch):
+    # restarts still moving after KMEANS_MAX_ITER updates are scored as they stand
+    monkeypatch.setattr(spectral, "KMEANS_MAX_ITER", max_iter)
+    points = np.random.default_rng(5).standard_normal((300, 3))
+    labels, inertia = kmeans(points, 5, seed=4)
+    expected_labels, expected_inertia = reference_kmeans(points, 5, 4, [])
+    assert np.array_equal(labels, expected_labels)
+    assert inertia == expected_inertia
+
+
+def test_kmeans_restart_groups_match_one_group(monkeypatch):
+    # groups of 3 restarts: the same result as all 10 in one lockstep group
+    points = tsc_embedding(3, 50, 3)
+    whole = kmeans(points, 3, seed=11)
+    monkeypatch.setattr(spectral, "LOCKSTEP_ENTRIES", 3 * 150 * 3)
+    groups = []
+    restarts = spectral._lloyd_restarts
+    monkeypatch.setattr(
+        spectral, "_lloyd_restarts", lambda p, c: groups.append(len(c)) or restarts(p, c)
+    )
+    labels, inertia = kmeans(points, 3, seed=11)
+    assert groups == [3, 3, 3, 1]
+    assert np.array_equal(labels, whole[0]) and inertia == whole[1]
+
+
 def test_kmeans_more_clusters_than_points_rejected():
     with pytest.raises(ValueError):
         kmeans(np.zeros((3, 2)), 4, seed=0)
@@ -210,7 +380,7 @@ def large_block_graph(n):
 @pytest.mark.parametrize("offset", [-1, 0], ids=["numpy-eigh", "sparse"])
 def test_bottom_eigenpairs_on_large_block_graph(offset, monkeypatch):
     # on both sides of SPARSE_SOLVE_MIN_N the graph is solved per component:
-    # 6 blocks of about 66 vertices, each by numpy's eigh, with no Lanczos
+    # 6 blocks of about 66 vertices, each by the dense solve, with no Lanczos
     n = spectral.SPARSE_SOLVE_MIN_N + offset
     adj, sizes = large_block_graph(n)
     component_calls = []
@@ -218,8 +388,8 @@ def test_bottom_eigenpairs_on_large_block_graph(offset, monkeypatch):
     monkeypatch.setattr(
         spectral,
         "_component_bottom_eigh",
-        lambda flipped, k: component_calls.append((flipped.shape[0], k))
-        or component_solve(flipped, k),
+        lambda flipped, k, *rest: component_calls.append((flipped.shape[0], k))
+        or component_solve(flipped, k, *rest),
     )
     calls = counting_eigsh(monkeypatch)
     result = spectral_cluster(adj, seed=0)
@@ -291,6 +461,21 @@ def test_sparse_solve_is_bitwise_repeatable(monkeypatch):
     vals_b, vecs_b = spectral._bottom_eigh(adj, 7)
     assert np.array_equal(vals_a, vals_b)
     assert np.array_equal(vecs_a, vecs_b)
+
+
+def test_values_only_solves_skip_eigenvectors(monkeypatch):
+    adj = connected_tsc_graph()
+    wanted = []
+    eigsh = spectral.eigsh
+    monkeypatch.setattr(
+        spectral, "eigsh", lambda *a, **kw: wanted.append(kw["return_eigenvectors"]) or eigsh(*a, **kw)
+    )
+    estimate = eigengap_estimate(adj)
+    result = spectral_cluster(adj, seed=0)
+    assert wanted == [False, True]
+    assert estimate == result.n_clusters
+    only_vals = spectral._bottom_eigh(adj, 11, eigvals_only=True)
+    assert np.max(np.abs(only_vals[: len(result.eigenvalues)] - result.eigenvalues)) < 1e-12
 
 
 def test_lanczos_non_convergence_raises(monkeypatch):
@@ -393,6 +578,30 @@ def assert_bottom_pairs_match_dense(adj, k):
     assert np.max(np.abs(vals - np.linalg.eigvalsh(lap)[:k])) < 1e-12
     assert np.max(np.abs(vecs.T @ vecs - np.eye(k))) < 1e-12
     assert np.max(np.abs(lap @ vecs - vecs * vals)) < 1e-12
+
+
+@pytest.mark.parametrize("k", [4, 11, 150], ids=["k=4", "k=11-eigengap", "k=n"])
+def test_partial_dense_solve_matches_full_eigh(k, monkeypatch):
+    # one component of 150 vertices takes the dense branch: LAPACK's partial
+    # solve for the bottom k pairs, numpy's full eigh when k = n
+    adj = block_adjacency([50, 60, 40], rng=np.random.default_rng(4), off_value=1e-3)
+    assert connected_components(adj).max() == 0
+    partial_calls = []
+    eigh = spectral.linalg.eigh
+    monkeypatch.setattr(
+        spectral.linalg, "eigh", lambda *a, **kw: partial_calls.append(kw) or eigh(*a, **kw)
+    )
+    lap = normalized_laplacian(adj)
+    full_vals, _ = np.linalg.eigh(lap)
+    vals, vecs = spectral._bottom_eigh(adj, k)
+    assert np.max(np.abs(vals - full_vals[:k])) < 1e-12
+    assert np.max(np.abs(vecs.T @ vecs - np.eye(k))) < 1e-12
+    assert np.max(np.abs(lap @ vecs - vecs * vals)) < 1e-12
+    only_vals = spectral._bottom_eigh(adj, k, eigvals_only=True)
+    assert np.max(np.abs(only_vals - full_vals[:k])) < 1e-12
+    expected = [] if k == adj.n else [False, True]
+    assert [kw["eigvals_only"] for kw in partial_calls] == expected
+    assert all(kw["subset_by_index"] == [0, k - 1] for kw in partial_calls)
 
 
 def test_all_isolated_vertices():

@@ -77,6 +77,30 @@ def test_normalized_neighbors_match_brute_force_cosine_sort():
 def score_in_blocks_of(rows, n, monkeypatch):
     """Make _select score `rows` rows of an n-point input per block."""
     monkeypatch.setattr(tsc, "BLOCK_ENTRIES", rows * n)
+    monkeypatch.setattr(tsc, "BLOCK_MIN_ROWS", 1)
+
+
+def test_block_row_floor_matches_brute_force_sort(monkeypatch):
+    # 2 rows' worth of BLOCK_ENTRIES, as at N=65536: the floor scores blocks
+    # of BLOCK_MIN_ROWS rows, and 100 = 6 * 16 + 4 leaves a short last block
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((12, 100))
+    monkeypatch.setattr(tsc, "BLOCK_ENTRIES", 2 * x.shape[1])
+    rows = []
+    partition = np.partition
+    monkeypatch.setattr(
+        tsc.np, "partition", lambda a, *args, **kw: rows.append(len(a)) or partition(a, *args, **kw)
+    )
+    nbrs, cosines = tsc._select(x, TscConfig(q=5))
+    monkeypatch.undo()
+    assert rows == [16] * 6 + [4]
+    x = x / np.linalg.norm(x, axis=0)
+    scores = np.abs(x.T @ x)
+    np.fill_diagonal(scores, -np.inf)
+    expected = np.argsort(-scores, axis=1, kind="stable")[:, :5]
+    assert np.array_equal(nbrs, expected)
+    # the products differ in shape from x.T @ x, so only in rounding
+    assert np.max(np.abs(cosines - np.take_along_axis(scores, expected, axis=1))) < 1e-14
 
 
 TIE_CASES = [(q, scaled) for q in (1, 5) for scaled in (False, True)]
