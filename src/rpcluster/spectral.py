@@ -88,18 +88,22 @@ SPARSE_SOLVE_MIN_N = 400
 LANCZOS_TOL = 1e-14
 
 
-def _component_bottom_eigh(flipped: sparse.csr_array, k: int, eigvals_only: bool = False):
+def _component_bottom_eigh(block, k: int, eigvals_only: bool = False):
     """Bottom k Laplacian eigenpairs, ascending, of one connected component,
-    given as its block of 2I - L; only the eigenvalues when eigvals_only."""
-    n = flipped.shape[0]
+    given as its dense Laplacian below SPARSE_SOLVE_MIN_N vertices and as its
+    CSR block of 2I - L from there; only the eigenvalues when eigvals_only."""
+    n = block.shape[0]
     # Lanczos work grows faster than linearly in k. On one-component TSC
-    # graphs (as above), the dense solve against Lanczos: k = n/20 at n=402,
-    # 600, 1002 and 1500, 15 against 17 ms, 41 against 41 ms, 124 against
-    # 229 ms and 0.34 against 0.56 s; k = n/30 at n=1500, 0.28 against 0.32 s;
-    # k = n/10 took Lanczos 2.1-4.2x the dense time
-    if n < SPARSE_SOLVE_MIN_N or 20 * k > n:
-        lap = -flipped.toarray()
-        np.fill_diagonal(lap, 1.0)
+    # graphs (as above), median of 5 alternating calls, the partial dense
+    # solve against Lanczos at n = 402, 600, 1002, 1500 and 2400: k = n/20
+    # 12/13, 28/31, 87/111, 294/635 and 967/1314 ms; k = n/22 11/13, 32/37,
+    # 92/99, 247/377 and 873/1047 ms; k = n/25 11/11, 25/24, 83/73, 253/315
+    # and 964/877 ms; k = n/30 Lanczos wins at every n
+    if n < SPARSE_SOLVE_MIN_N or 25 * k > n:
+        lap = block
+        if sparse.issparse(block):
+            lap = -block.toarray()
+            np.fill_diagonal(lap, 1.0)
         if k == n:
             return np.linalg.eigvalsh(lap) if eigvals_only else np.linalg.eigh(lap)
         # LAPACK's dsyevr stops after the bottom k pairs: 1.1 ms at n=150
@@ -121,7 +125,7 @@ def _component_bottom_eigh(flipped: sparse.csr_array, k: int, eigvals_only: bool
     rng = np.random.default_rng(0)
     v0 = rng.standard_normal(n)
     found = eigsh(
-        flipped, 2 * k, which="LA", v0=v0, rng=rng, tol=LANCZOS_TOL,
+        block, 2 * k, which="LA", v0=v0, rng=rng, tol=LANCZOS_TOL,
         return_eigenvectors=not eigvals_only,
     )
     vals, vecs = (found, None) if eigvals_only else found
@@ -146,13 +150,28 @@ def _bottom_eigh(adj: Adjacency, k: int, eigvals_only: bool = False):
     order = np.argsort(comp, kind="stable")
     if n_comp > 1:
         flipped = flipped[order][:, order]
+    # each other component's zero eigenvalue comes first, so a component
+    # holds at most k - n_nontrivial + 1 of the bottom k
+    bound = max(1, k - int(np.count_nonzero(sizes > 1)) + 1)
     ends = np.cumsum(sizes)
     for a, b in zip(ends - sizes, ends):
-        if b - a > 1:
+        if b - a < 2:
+            continue
+        if b - a >= SPARSE_SOLVE_MIN_N:
             block = flipped if b - a == adj.n else flipped[a:b, a:b]
-            found = _component_bottom_eigh(block, min(k, b - a), eigvals_only)
-            vals, vecs = (found, None) if eigvals_only else found
-            parts.append((vals, order[a:b], vecs))
+        else:
+            # L's block straight from the CSR arrays: a CSR slice costs more
+            # than the solve on components of a few vertices. Entries that
+            # 2I - L does not store are -0.0, as in its negated dense copy;
+            # LAPACK's reflectors take the sign of a zero
+            lo, hi = flipped.indptr[a], flipped.indptr[b]
+            block = np.full((b - a, b - a), -0.0)
+            block[np.repeat(np.arange(b - a), np.diff(flipped.indptr[a : b + 1])),
+                  flipped.indices[lo:hi] - a] = -flipped.data[lo:hi]
+            np.fill_diagonal(block, 1.0)
+        found = _component_bottom_eigh(block, min(k, b - a, bound), eigvals_only)
+        vals, vecs = (found, None) if eigvals_only else found
+        parts.append((vals, order[a:b], vecs))
     vals = np.concatenate([p[0] for p in parts])
     keep = np.argsort(vals, kind="stable")[:k]
     if eigvals_only:

@@ -22,11 +22,11 @@ point is reported as outside the span of the others.
 
 Columns are solved in blocks of BLOCK_ENTRIES // N that take their path
 steps in lockstep, one numpy pass over the block per step. Every product
-comes from the p x N points X, never from the Gram matrix X^T X: a column's
-step costs O(N p), most of it in one BLAS product for the whole block, and
-its active set A has |A| <= rank(X) <= p atoms. Memory is
-O(BLOCK_ENTRIES + N p) plus the supports; ssc_adjacency builds its sparse
-graph from them, and only ssc_coefficients forms the dense N x N Z.
+comes from the p x N points X, never from X^T X; |A| <= rank(X) <= p. A
+column's step costs O(N p), but at small p a pass costs more in numpy calls
+than in arithmetic: 0.11 ms with one live column, 0.66 ms with 150 (N=150,
+p=20, 2 vCPUs). Memory is O(BLOCK_ENTRIES + N p) plus the supports, from
+which ssc_adjacency builds its graph; only ssc_coefficients forms a dense Z.
 """
 
 from __future__ import annotations
@@ -60,10 +60,10 @@ EXACT_TOL = 1e-6
 # side the rates, ratios and masks), so the solver's memory does not grow
 # with N. A block takes as many passes as its longest path, so larger blocks
 # take fewer passes in all. ssc_coefficients on 2 vCPUs, median of interleaved calls
-# at 2^15, 2^16, 2^17 and 2^18 entries: N=150 (one block) 23 ms at each;
-# N=600, p=20 175, 132, 115 and 100 ms; N=2400, p=20 2.18, 1.82, 1.68 and
-# 1.54 s; N=2400, p=10 3.37, 2.52, 2.25 and 1.90 s. At 2^17, as in TSC, the
-# traced peak of ssc_adjacency at N=1200 is 7.6 MB.
+# at 2^15, 2^16, 2^17 and 2^18 entries: N=150 (one block) 7 ms at each;
+# N=600, p=20 82, 66, 59 and 63 ms; N=2400, p=20 1.11, 1.02, 0.91 and
+# 0.89 s; N=2400, p=10 1.70, 1.41, 1.48 and 1.53 s. At 2^17, as in TSC, the
+# traced peak of ssc_adjacency at N=1200 is 7.5 MB.
 BLOCK_ENTRIES = 2**17
 
 
@@ -128,165 +128,159 @@ def _lasso_path_block(
     rows = np.arange(n_blk)
     first = np.abs(c).argmax(axis=1)
     lam = np.abs(c[rows, first])
-    # the padded width doubles, up to rank(X), as the largest |A| needs
+    # the padded width doubles, up to rank(X), as the largest |A| needs; the
+    # slot past it is always padding, so a drop closes its gap by one gather
     width = min(4, rank)
-    active = np.repeat(cols[:, None], width, axis=1)
+    active = np.repeat(cols[:, None], width + 1, axis=1)
     active[:, 0] = first
-    s = np.zeros((n_blk, width))
+    s, z_a = np.zeros((2, n_blk, width + 1))
     s[:, 0] = np.sign(c[rows, first])
-    z_a = np.zeros((n_blk, width))
-    inv = np.zeros((n_blk, width, width))
+    inv = np.zeros((n_blk, width + 1, width + 1))
     inv[:, 0, 0] = 1.0 / sq_norms[first]
     size = np.ones(n_blk, dtype=np.intp)
-    # blocked[t, b, i]: atom i may not enter column b's path on side t
-    # (0: c_i = lambda, 1: c_i = -lambda). Besides j and A, some atoms are
-    # held out until the column's next step (held; has_held marks the
-    # columns that hold any): those in the span of A, and the atom dropped in
-    # the last step on the side it left, where it sits at |c_i| = lambda and
-    # rounding would let it re-enter.
-    blocked = np.zeros((2, n_blk, n_pts), dtype=bool)
-    blocked[:, rows, cols] = True
-    blocked[:, rows, first] = True
-    held = np.zeros_like(blocked)
-    has_held = np.zeros(n_blk, dtype=bool)
+    # taken[b, i]: atom i is j or in A. held[t, b, i]: atom i may not enter
+    # column b's path on side t (0: c_i = lambda, 1: c_i = -lambda) until
+    # the column's next step: atoms in the span of A, and the atom dropped
+    # in the last step on the side it left, where it sits at |c_i| = lambda
+    # and rounding would let it re-enter.
+    taken = np.zeros((n_blk, n_pts), dtype=bool)
+    taken[rows, cols] = taken[rows, first] = True
+    held = np.zeros((2, n_blk, n_pts), dtype=bool)
     steps = np.zeros(n_blk, dtype=np.intp)
     reached = np.zeros(n_blk, dtype=bool)
     order = rows
     # each column's row is written here as it leaves the block
-    out_active = np.repeat(cols[:, None], rank, axis=1)
-    out_s, out_z = np.zeros((2, n_blk, rank))
+    out_active = np.repeat(cols[:, None], rank + 1, axis=1)
+    out_s, out_z = np.zeros((2, n_blk, rank + 1))
     out_size, out_steps = np.zeros((2, n_blk), dtype=np.intp)
     out_reached = np.zeros(n_blk, dtype=bool)
     # a = X^T X_A d, and per side the gap lambda -+ c_i, which closes at the
-    # rate 1 -+ a_i, their ratio, and where entry is barred
-    a_buf, rate_buf, enter_buf = np.empty((3, n_blk, n_pts))
-    mask_buf = np.empty((n_blk, n_pts), dtype=bool)
+    # rate 1 -+ a_i, their ratio, and where entry is barred; the live columns
+    # use the front of each buffer
+    bufs = (*np.empty((3, n_blk * n_pts)), np.empty(n_blk * n_pts, dtype=bool))
+    a = bufs[0][:0]
     with np.errstate(divide="ignore", invalid="ignore"):
         while True:
             done = reached | (steps >= MAX_PATH_STEPS * n_pts)
             if done.any():
-                ids = order[done]
-                out_active[ids, :width], out_s[ids, :width], out_z[ids, :width] = (
-                    active[done], s[done], z_a[done]
+                gone, keep = np.flatnonzero(done), np.flatnonzero(~done)
+                ids = order[gone]
+                out_active[ids, : width + 1], out_s[ids, : width + 1], out_z[ids, : width + 1] = (
+                    v.take(gone, axis=0) for v in (active, s, z_a)
                 )
-                out_size[ids], out_steps[ids], out_reached[ids] = size[done], steps[done], reached[done]
-                keep = ~done
-                order, c, lam, lam_end, active, s, z_a, inv, size, has_held, steps = (
-                    v[keep] for v in
-                    (order, c, lam, lam_end, active, s, z_a, inv, size, has_held, steps)
+                out_size[ids], out_steps[ids], out_reached[ids] = size[gone], steps[gone], reached[gone]
+                order, c, lam, lam_end, active, s, z_a, inv, size, steps, taken = (
+                    v.take(keep, axis=0) for v in (order, c, lam, lam_end, active, s, z_a, inv, size, steps, taken)
                 )
-                blocked, held = blocked[:, keep], held[:, keep]
+                held = held.take(keep, axis=1)
                 if not len(order):
                     break
-                rows = np.arange(len(order))
             n_live = len(order)
-            a, rate, enter, mask = (v[:n_live] for v in (a_buf, rate_buf, enter_buf, mask_buf))
+            if a.size != n_live * n_pts:
+                rows = np.arange(n_live)
+                a, rate, ratio, barred = (v[: n_live * n_pts].reshape(n_live, n_pts) for v in bufs)
             # slots past the largest |A| are padding in every column
             w = int(size.max())
-            s_w, inv_w = s[:, :w], inv[:, :w, :w]
-            x_a = xt[active[:, :w]]
-            d = (inv_w @ s_w[:, :, None])[:, :, 0]
+            s_w = s[:, :w]
+            x_a = xt.take(active[:, :w], axis=0)
+            d = (inv[:, :w, :w] @ s_w[:, :, None])[:, :, 0]
             np.matmul((d[:, None, :] @ x_a)[:, 0], x, out=a)
+            i_t, e_t = np.empty((2, n_live), dtype=np.intp), np.empty((2, n_live))
             for t, op in enumerate((np.subtract, np.add)):
                 op(1.0, a, out=rate)
-                op(lam[:, None], c, out=enter)
-                enter /= rate
-                np.less_equal(rate, 0.0, out=mask)
-                mask |= blocked[t]
-                np.copyto(enter, np.inf, where=mask)
-                i_t = enter.argmin(axis=1)
-                e_t = enter[rows, i_t]
+                np.less_equal(rate, 0.0, out=barred)
+                barred |= taken
+                barred |= held[t]
+                # lambda spread over its row once; adding a row-broadcast
+                # takes numpy a loop per row
+                np.copyto(ratio, lam[:, None])
+                op(ratio, c, out=ratio)
+                ratio /= rate
+                np.copyto(ratio, np.inf, where=barred)
+                i_t[t] = ratio.argmin(axis=1)
+                e_t[t] = ratio[rows, i_t[t]]
                 # a gap at or below zero is a tie at gamma = 0, which the
                 # first such atom wins
-                tie = np.flatnonzero(e_t <= 0)
+                tie = np.flatnonzero(e_t[t] <= 0)
                 if tie.size:
-                    i_t[tie] = (enter[tie] <= 0).argmax(axis=1)
-                    e_t[tie] = 0.0
-                if t == 0:
-                    side, i_in, e_min = np.zeros(n_live, dtype=np.intp), i_t, e_t
-                else:
-                    side = (e_t < e_min).astype(np.intp)
-                    i_in = np.where(side, i_t, i_in)
-                    e_min = np.minimum(e_t, e_min)
+                    i_t[t, tie] = (ratio[tie] <= 0).argmax(axis=1)
+                    e_t[t, tie] = 0.0
+            side = e_t[1] < e_t[0]
+            i_in = np.where(side, i_t[1], i_t[0])
+            e_min = np.minimum(e_t[1], e_t[0])
             sd = s_w * d
             drop = np.where(sd < 0, np.maximum(s_w * z_a[:, :w], 0.0) / -sd, np.inf)
             k_out = drop.argmin(axis=1)
             to_end = lam - lam_end
             gamma = np.minimum(drop[rows, k_out], to_end)
             entering = e_min < gamma
-            stepping = np.ones(n_live, dtype=bool)
-            ent = grow = np.flatnonzero(entering)
-            if ent.size:
-                x_i = xt[i_in[ent]]
-                b = (inv_w[ent] @ (x_a[ent] @ x_i[:, :, None]))[:, :, 0]
+            gamma = np.minimum(e_min, gamma)
+            steps += 1
+            stay = grow = rows[:0]
+            if entering.any():
+                # every column takes the span test of its i_in and the
+                # bordering, which a column that does not grow scales to zero
+                x_i = xt.take(i_in, axis=0)
+                b = (inv[:, :w, :w] @ (x_a @ x_i[:, :, None]))[:, :, 0]
                 # from X, not G_ii - G_iA b, which cancels to rounding noise
                 # as G_AA grows ill-conditioned
-                resid = x_i - (b[:, None, :] @ x_a[ent])[:, 0]
+                resid = x_i - (b[:, None, :] @ x_a)[:, 0]
                 pivot = np.einsum("ep,ep->e", resid, resid)
-                spanned = (size[ent] == rank) | (pivot <= SPAN_TOL * sq_norms[i_in[ent]])
+                spanned = entering & ((size == rank) | (pivot <= SPAN_TOL * sq_norms[i_in]))
+                grows = entering ^ spanned
+                grow = np.flatnonzero(grows)
                 # in the span of A, i_in holds KKT with a zero coefficient;
                 # its column takes no step
-                out = ent[spanned]
-                blocked[:, out, i_in[out]] = True
-                held[:, out, i_in[out]] = True
-                has_held[out] = True
-                stepping[out] = False
-                gamma[ent] = e_min[ent]
-                grow, b, pivot = ent[~spanned], b[~spanned], pivot[~spanned]
-            gamma[~stepping] = 0.0
+                stay = np.flatnonzero(spanned)
+                if stay.size:
+                    held_stay = held[:, stay]
+                    held_stay[:, np.arange(stay.size), i_in[stay]] = True
+                    steps[stay] -= 1
+                    gamma[stay] = 0.0
             z_a[:, :w] += gamma[:, None] * d
             c -= np.multiply(gamma[:, None], a, out=a)
-            steps += stepping
-            reached = stepping & ~entering & (gamma == to_end)
-            moving = stepping & ~reached
-            lam -= np.where(moving, gamma, 0.0)
-            release = np.flatnonzero(moving & has_held)
-            blocked[:, release] &= ~held[:, release]
-            held[:, release] = False
-            has_held[release] = False
+            lam -= gamma
+            reached = gamma == to_end
+            # a column that stepped takes its held atoms back
+            held.fill(False)
+            if stay.size:
+                held[:, stay] = held_stay
             if grow.size:
                 pos, new = size[grow], i_in[grow]
                 if pos.max() == width:
                     extra = min(width, rank - width)
-                    active = np.hstack([active, np.repeat(cols[order, None], extra, axis=1)])
+                    active = np.hstack([active, np.repeat(active[:, -1:], extra, axis=1)])
                     s, z_a = (np.hstack([v, np.zeros((n_live, extra))]) for v in (s, z_a))
-                    inv = np.pad(inv, ((0, 0), (0, extra), (0, extra)))
+                    inv, narrow = np.zeros((n_live, width + extra + 1, width + extra + 1)), inv
+                    inv[:, : width + 1, : width + 1] = narrow
                     width += extra
                 active[grow, pos] = new
-                s[grow, pos] = 1.0 - 2.0 * side[grow]
-                blocked[:, grow, new] = True
-                w_u = min(w + 1, width)
-                u = np.zeros((len(grow), w_u))
-                u[:, :w] = -b
-                u[np.arange(len(grow)), pos] = 1.0
-                inv[grow, :w_u, :w_u] += u[:, :, None] * u[:, None, :] / pivot[:, None, None]
+                s[grow, pos] = np.where(side[grow], -1.0, 1.0)
+                taken[grow, new] = True
+                u = np.zeros((n_live, w + 1))
+                np.negative(b, out=u[:, :w])
+                u[rows, size] = 1.0
+                inv[:, : w + 1, : w + 1] += np.divide(
+                    u[:, :, None] @ u[:, None, :], np.where(grows, pivot, np.inf)[:, None, None]
+                )
                 size[grow] += 1
-            shrink = np.flatnonzero(moving & ~entering)
+            shrink = np.flatnonzero(~(entering | reached))
             if shrink.size:
                 r = np.arange(len(shrink))
                 k = k_out[shrink]
                 gone = active[shrink, k]
-                left = (s[shrink, k] < 0).astype(np.intp)
-                blocked[1 - left, shrink, gone] = False
-                held[left, shrink, gone] = True
-                has_held[shrink] = True
-                inv_d = inv[shrink, :w, :w]
+                taken[shrink, gone] = False
+                held[(s[shrink, k] < 0).astype(np.intp), shrink, gone] = True
+                inv_d = inv.take(shrink, axis=0)
                 col = inv_d[r, :, k]
-                inv_d -= col[:, :, None] * col[:, None, :] / inv_d[r, k, k][:, None, None]
-                # close the gap at slot k; the freed last slot becomes padding
-                slot = np.arange(w)
-                perm = np.minimum(slot + (slot >= k[:, None]), w - 1)
-                kept = slot < (size[shrink] - 1)[:, None]
-                inv[shrink, :w, :w] = np.where(
-                    kept[:, :, None] & kept[:, None, :],
-                    inv_d[r[:, None, None], perm[:, :, None], perm[:, None, :]],
-                    0.0,
-                )
-                active[shrink, :w] = np.where(
-                    kept, np.take_along_axis(active[shrink, :w], perm, 1), cols[order[shrink], None]
-                )
-                s[shrink, :w] = np.where(kept, np.take_along_axis(s[shrink, :w], perm, 1), 0.0)
-                z_a[shrink, :w] = np.where(kept, np.take_along_axis(z_a[shrink, :w], perm, 1), 0.0)
+                inv_d -= np.divide(col[:, :, None] @ col[:, None, :], inv_d[r, k, k][:, None, None])
+                # close the gap at slot k: later slots move down one, and the
+                # last padding slot stays
+                slot = np.arange(width + 1)
+                perm = np.minimum(slot + (slot >= k[:, None]), width)
+                inv[shrink] = inv_d[r[:, None, None], perm[:, :, None], perm[:, None, :]]
+                at = (shrink[:, None], perm)
+                active[shrink], s[shrink], z_a[shrink] = active[at], s[at], z_a[at]
                 size[shrink] -= 1
     w = int(out_size.max())
     return out_active[:, :w], out_s[:, :w], out_z[:, :w], out_size, out_steps, out_reached
@@ -349,23 +343,25 @@ def _certify_block(
         kkt = np.maximum(np.maximum(np.abs(g).max(axis=1) / lam_end - 1.0, on_a.max(axis=1)), 0.0)
         objective = lam_end * np.abs(z_a).sum(axis=1) + 0.5 * np.einsum("bp,bp->b", resid, resid)
     infos = []
-    for b, j in enumerate(cols):
-        message = "" if reached[b] else "path step cap reached"
+    # Python scalars: indexing numpy arrays per column costs more than the rest
+    objective, kkt = objective.tolist(), kkt.tolist()
+    for b, (j, end, n_steps) in enumerate(zip(cols.tolist(), reached.tolist(), steps.tolist())):
+        message = "" if end else "path step cap reached"
         if not exact:
-            if reached[b] and kkt[b] > PATH_KKT_TOL:
+            if end and kkt[b] > PATH_KKT_TOL:
                 message = f"KKT residual {kkt[b]:.1e} above {PATH_KKT_TOL:.0e}"
-        elif reached[b] and primal[b] > EXACT_TOL:
+        elif end and primal[b] > EXACT_TOL:
             message = "point is not in the span of the others"
             z_a[b], objective[b] = 0.0, np.nan
-        elif reached[b] and kkt[b] > EXACT_TOL:
+        elif end and kkt[b] > EXACT_TOL:
             message = f"certificate residual {kkt[b]:.1e} above {EXACT_TOL:.0e}"
         infos.append(SscColumnInfo(
-            column=int(j),
+            column=j,
             mode="exact_l1" if exact else "lasso_admm",
             converged=not message,
-            iterations=int(steps[b]),
-            objective=float(objective[b]),
-            kkt_residual=float(kkt[b]),
+            iterations=n_steps,
+            objective=objective[b],
+            kkt_residual=kkt[b],
             message=message,
         ))
     return z_a, infos

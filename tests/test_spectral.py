@@ -380,7 +380,9 @@ def large_block_graph(n):
 @pytest.mark.parametrize("offset", [-1, 0], ids=["numpy-eigh", "sparse"])
 def test_bottom_eigenpairs_on_large_block_graph(offset, monkeypatch):
     # on both sides of SPARSE_SOLVE_MIN_N the graph is solved per component:
-    # 6 blocks of about 66 vertices, each by the dense solve, with no Lanczos
+    # 6 blocks of about 66 vertices, each by the dense solve, with no Lanczos,
+    # for 11 - 6 + 1 = 6 pairs: the other 5 blocks' zeros come before a
+    # block's sixth eigenvalue, and the 2 isolated vertices do not count
     n = spectral.SPARSE_SOLVE_MIN_N + offset
     adj, sizes = large_block_graph(n)
     component_calls = []
@@ -394,7 +396,7 @@ def test_bottom_eigenpairs_on_large_block_graph(offset, monkeypatch):
     calls = counting_eigsh(monkeypatch)
     result = spectral_cluster(adj, seed=0)
     assert eigengap_estimate(adj) == 6
-    assert component_calls == [(size, 11) for size in sizes] * 2
+    assert component_calls == [(size, 6) for size in sizes] * 2
     assert calls == []
     assert result.n_clusters == 6
     # six repeated zeros, then the first nonzero eigenvalue
@@ -503,7 +505,8 @@ def identical_blocks(n_blocks, size, seed):
 def test_repeated_eigenvalue_across_components(arpack_blocks, monkeypatch):
     # a single shift-invert eigsh for 12 pairs of the whole graph misses
     # copies of the first nonzero eigenvalue here (error 1.4e-4); blocks of
-    # 240 vertices are large enough for Lanczos at k=12 (20 * k <= n)
+    # 240 vertices are large enough for Lanczos at 12 - 6 + 1 = 7 pairs a
+    # block (25 * k <= n)
     adj = identical_blocks(6, 240, seed=0)
     assert adj.n >= spectral.SPARSE_SOLVE_MIN_N
     calls = counting_eigsh(monkeypatch)
@@ -623,3 +626,44 @@ def test_tsc_graph_with_many_components():
         assert connected_components(adj).max() + 1 == n_comp
         for k in ks:
             assert_bottom_pairs_match_dense(adj, k)
+
+
+def test_components_solve_for_their_share_of_the_pairs(monkeypatch):
+    # each nontrivial component has one zero eigenvalue, which comes before
+    # any other component's nonzero ones, so a component holds at most
+    # k - n_nontrivial + 1 of the bottom k (at least 1); isolated vertices do
+    # not count. Below SPARSE_SOLVE_MIN_N a component's dense Laplacian is
+    # filled straight from the permuted CSR arrays of 2I - L, entry for entry
+    # what the CSR slice gives.
+    forest = tsc_adjacency(np.random.default_rng(0).standard_normal((20, 300)), TscConfig(q=1))
+    blocks, _ = large_block_graph(200)
+    calls = []
+    component_solve = spectral._component_bottom_eigh
+    monkeypatch.setattr(
+        spectral,
+        "_component_bottom_eigh",
+        lambda block, k, *rest: calls.append((block, k)) or component_solve(block, k, *rest),
+    )
+    for adj, n_nontrivial, ks in ((forest, 78, (11, 100)), (blocks, 6, (3, 11))):
+        labels = connected_components(adj)
+        sizes = np.bincount(labels)
+        assert np.count_nonzero(sizes > 1) == n_nontrivial
+        order = np.argsort(labels, kind="stable")
+        flipped = spectral._sparse_flipped_laplacian(adj)[order][:, order]
+        starts = np.cumsum(sizes) - sizes
+        for k in ks:
+            calls.clear()
+            vals = spectral._bottom_eigh(adj, k, eigvals_only=True)
+            full = np.linalg.eigvalsh(normalized_laplacian(adj))
+            assert np.max(np.abs(vals - full[:k])) < 1e-14
+            nontrivial = np.flatnonzero(sizes > 1)
+            assert [k_c for _, k_c in calls] == [
+                min(k, sizes[c], max(1, k - n_nontrivial + 1)) for c in nontrivial
+            ]
+            for (block, _), c in zip(calls, nontrivial):
+                a, b = starts[c], starts[c] + sizes[c]
+                lap = -flipped[a:b, a:b].toarray()
+                np.fill_diagonal(lap, 1.0)
+                assert isinstance(block, np.ndarray)
+                # bitwise, signed zeros too: LAPACK's reflectors take their sign
+                assert block.tobytes() == lap.tobytes()

@@ -405,6 +405,42 @@ def test_lasso_path_does_not_readmit_a_dropped_atom_at_once():
         assert lasso_kkt(TIE_POINTS, z, j, alpha=1.5) <= 1e-9
 
 
+# Found by search over small integer point sets: column 4's path drops an
+# atom that sits on the boundary, |c_i| = lambda. Let back on the side it
+# left in the very next step, it re-enters at once and the path cycles
+# between dropping and re-adding it until the step cap (110 steps).
+HOLD_POINTS = np.array([
+    [2, -2, -2, -3, -2, -3, 2, 2, -2, -1, -2],
+    [1, 0, -2, 0, 0, -2, 0, -2, -1, -2, 0],
+    [-2, -2, 2, 3, 3, -1, -3, 3, 3, -2, 0],
+], dtype=float)
+
+
+# Also found by search, each takes a tie rule at the default settings: in
+# GAP_TIE_POINTS column 13 starts steps with two atoms past the boundary by
+# rounding (gaps -2.9e-15 and -3.3e-15), and the first enters, not the one
+# furthest past; in DROP_TIE_POINTS column 7's next entry and a drop fall at
+# the same gamma, and the drop goes first.
+GAP_TIE_POINTS = np.array([
+    [3, -3, 3, 3, -1, -3, 1, -3, 3, -3, -2, 0, 1, -1, 2],
+    [-3, 1, 1, 2, 0, 2, 1, -3, -3, 3, -3, 3, 3, 3, -3],
+    [-3, 3, -2, 2, -3, -2, 0, 3, 3, 2, -3, -3, -1, 1, -3],
+], dtype=float)
+DROP_TIE_POINTS = np.array([
+    [0, 2, -1, 1, 3, 1, 3, 3, 1, 1],
+    [-3, -3, 0, 0, 1, 1, -2, -2, -2, -2],
+    [-2, 2, -3, 3, 2, 0, 3, -1, 2, -3],
+    [-1, -1, 0, 1, -1, 1, 2, 3, 1, -2],
+], dtype=float)
+
+
+@pytest.mark.parametrize("mode", SSC_MODES)
+def test_dropped_atom_is_held_out_for_one_step(mode):
+    z, infos = ssc_coefficients(HOLD_POINTS, SscConfig(mode=mode), return_info=True)
+    assert all(info.converged for info in infos)
+    assert infos[4].iterations == 4
+
+
 def test_lasso_path_lets_a_dropped_atom_return_with_the_other_sign():
     # column 2's path drops atom 0 from a negative coefficient, and in the
     # next step atom 0 enters again with a positive one; a bar on both signs
@@ -652,3 +688,245 @@ def test_adjacency_validation():
     rep = false_connections(adj, [0, 1, 1])
     assert rep.count == 0
     assert rep.total_edges == 1
+
+
+def reference_lasso_path_block(
+    x: np.ndarray, xt: np.ndarray, sq_norms: np.ndarray, rank: int,
+    cols: np.ndarray, c: np.ndarray, lam_end: np.ndarray,
+) -> tuple[np.ndarray, ...]:
+    """ssc._lasso_path_block with its earlier per-pass bookkeeping, as an oracle.
+
+    The same homotopy and arithmetic, with other state handling: (2, B, N)
+    blocked and held masks released column by column, boolean-mask
+    compaction, the span test and bordering on the entering columns alone,
+    and a dropped atom's slot closed by permutation gathers under np.where.
+    Same arguments and return.
+    """
+    n_blk, n_pts = c.shape
+    rows = np.arange(n_blk)
+    first = np.abs(c).argmax(axis=1)
+    lam = np.abs(c[rows, first])
+    # the padded width doubles, up to rank(X), as the largest |A| needs
+    width = min(4, rank)
+    active = np.repeat(cols[:, None], width, axis=1)
+    active[:, 0] = first
+    s = np.zeros((n_blk, width))
+    s[:, 0] = np.sign(c[rows, first])
+    z_a = np.zeros((n_blk, width))
+    inv = np.zeros((n_blk, width, width))
+    inv[:, 0, 0] = 1.0 / sq_norms[first]
+    size = np.ones(n_blk, dtype=np.intp)
+    # blocked[t, b, i]: atom i may not enter column b's path on side t
+    # (0: c_i = lambda, 1: c_i = -lambda). Besides j and A, some atoms are
+    # held out until the column's next step (held; has_held marks the
+    # columns that hold any): those in the span of A, and the atom dropped in
+    # the last step on the side it left, where it sits at |c_i| = lambda and
+    # rounding would let it re-enter.
+    blocked = np.zeros((2, n_blk, n_pts), dtype=bool)
+    blocked[:, rows, cols] = True
+    blocked[:, rows, first] = True
+    held = np.zeros_like(blocked)
+    has_held = np.zeros(n_blk, dtype=bool)
+    steps = np.zeros(n_blk, dtype=np.intp)
+    reached = np.zeros(n_blk, dtype=bool)
+    order = rows
+    # each column's row is written here as it leaves the block
+    out_active = np.repeat(cols[:, None], rank, axis=1)
+    out_s, out_z = np.zeros((2, n_blk, rank))
+    out_size, out_steps = np.zeros((2, n_blk), dtype=np.intp)
+    out_reached = np.zeros(n_blk, dtype=bool)
+    # a = X^T X_A d, and per side the gap lambda -+ c_i, which closes at the
+    # rate 1 -+ a_i, their ratio, and where entry is barred
+    a_buf, rate_buf, enter_buf = np.empty((3, n_blk, n_pts))
+    mask_buf = np.empty((n_blk, n_pts), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            done = reached | (steps >= ssc.MAX_PATH_STEPS * n_pts)
+            if done.any():
+                ids = order[done]
+                out_active[ids, :width], out_s[ids, :width], out_z[ids, :width] = (
+                    active[done], s[done], z_a[done]
+                )
+                out_size[ids], out_steps[ids], out_reached[ids] = size[done], steps[done], reached[done]
+                keep = ~done
+                order, c, lam, lam_end, active, s, z_a, inv, size, has_held, steps = (
+                    v[keep] for v in
+                    (order, c, lam, lam_end, active, s, z_a, inv, size, has_held, steps)
+                )
+                blocked, held = blocked[:, keep], held[:, keep]
+                if not len(order):
+                    break
+                rows = np.arange(len(order))
+            n_live = len(order)
+            a, rate, enter, mask = (v[:n_live] for v in (a_buf, rate_buf, enter_buf, mask_buf))
+            # slots past the largest |A| are padding in every column
+            w = int(size.max())
+            s_w, inv_w = s[:, :w], inv[:, :w, :w]
+            x_a = xt[active[:, :w]]
+            d = (inv_w @ s_w[:, :, None])[:, :, 0]
+            np.matmul((d[:, None, :] @ x_a)[:, 0], x, out=a)
+            for t, op in enumerate((np.subtract, np.add)):
+                op(1.0, a, out=rate)
+                op(lam[:, None], c, out=enter)
+                enter /= rate
+                np.less_equal(rate, 0.0, out=mask)
+                mask |= blocked[t]
+                np.copyto(enter, np.inf, where=mask)
+                i_t = enter.argmin(axis=1)
+                e_t = enter[rows, i_t]
+                # a gap at or below zero is a tie at gamma = 0, which the
+                # first such atom wins
+                tie = np.flatnonzero(e_t <= 0)
+                if tie.size:
+                    i_t[tie] = (enter[tie] <= 0).argmax(axis=1)
+                    e_t[tie] = 0.0
+                if t == 0:
+                    side, i_in, e_min = np.zeros(n_live, dtype=np.intp), i_t, e_t
+                else:
+                    side = (e_t < e_min).astype(np.intp)
+                    i_in = np.where(side, i_t, i_in)
+                    e_min = np.minimum(e_t, e_min)
+            sd = s_w * d
+            drop = np.where(sd < 0, np.maximum(s_w * z_a[:, :w], 0.0) / -sd, np.inf)
+            k_out = drop.argmin(axis=1)
+            to_end = lam - lam_end
+            gamma = np.minimum(drop[rows, k_out], to_end)
+            entering = e_min < gamma
+            stepping = np.ones(n_live, dtype=bool)
+            ent = grow = np.flatnonzero(entering)
+            if ent.size:
+                x_i = xt[i_in[ent]]
+                b = (inv_w[ent] @ (x_a[ent] @ x_i[:, :, None]))[:, :, 0]
+                # from X, not G_ii - G_iA b, which cancels to rounding noise
+                # as G_AA grows ill-conditioned
+                resid = x_i - (b[:, None, :] @ x_a[ent])[:, 0]
+                pivot = np.einsum("ep,ep->e", resid, resid)
+                spanned = (size[ent] == rank) | (pivot <= ssc.SPAN_TOL * sq_norms[i_in[ent]])
+                # in the span of A, i_in holds KKT with a zero coefficient;
+                # its column takes no step
+                out = ent[spanned]
+                blocked[:, out, i_in[out]] = True
+                held[:, out, i_in[out]] = True
+                has_held[out] = True
+                stepping[out] = False
+                gamma[ent] = e_min[ent]
+                grow, b, pivot = ent[~spanned], b[~spanned], pivot[~spanned]
+            gamma[~stepping] = 0.0
+            z_a[:, :w] += gamma[:, None] * d
+            c -= np.multiply(gamma[:, None], a, out=a)
+            steps += stepping
+            reached = stepping & ~entering & (gamma == to_end)
+            moving = stepping & ~reached
+            lam -= np.where(moving, gamma, 0.0)
+            release = np.flatnonzero(moving & has_held)
+            blocked[:, release] &= ~held[:, release]
+            held[:, release] = False
+            has_held[release] = False
+            if grow.size:
+                pos, new = size[grow], i_in[grow]
+                if pos.max() == width:
+                    extra = min(width, rank - width)
+                    active = np.hstack([active, np.repeat(cols[order, None], extra, axis=1)])
+                    s, z_a = (np.hstack([v, np.zeros((n_live, extra))]) for v in (s, z_a))
+                    inv = np.pad(inv, ((0, 0), (0, extra), (0, extra)))
+                    width += extra
+                active[grow, pos] = new
+                s[grow, pos] = 1.0 - 2.0 * side[grow]
+                blocked[:, grow, new] = True
+                w_u = min(w + 1, width)
+                u = np.zeros((len(grow), w_u))
+                u[:, :w] = -b
+                u[np.arange(len(grow)), pos] = 1.0
+                inv[grow, :w_u, :w_u] += u[:, :, None] * u[:, None, :] / pivot[:, None, None]
+                size[grow] += 1
+            shrink = np.flatnonzero(moving & ~entering)
+            if shrink.size:
+                r = np.arange(len(shrink))
+                k = k_out[shrink]
+                gone = active[shrink, k]
+                left = (s[shrink, k] < 0).astype(np.intp)
+                blocked[1 - left, shrink, gone] = False
+                held[left, shrink, gone] = True
+                has_held[shrink] = True
+                inv_d = inv[shrink, :w, :w]
+                col = inv_d[r, :, k]
+                inv_d -= col[:, :, None] * col[:, None, :] / inv_d[r, k, k][:, None, None]
+                # close the gap at slot k; the freed last slot becomes padding
+                slot = np.arange(w)
+                perm = np.minimum(slot + (slot >= k[:, None]), w - 1)
+                kept = slot < (size[shrink] - 1)[:, None]
+                inv[shrink, :w, :w] = np.where(
+                    kept[:, :, None] & kept[:, None, :],
+                    inv_d[r[:, None, None], perm[:, :, None], perm[:, None, :]],
+                    0.0,
+                )
+                active[shrink, :w] = np.where(
+                    kept, np.take_along_axis(active[shrink, :w], perm, 1), cols[order[shrink], None]
+                )
+                s[shrink, :w] = np.where(kept, np.take_along_axis(s[shrink, :w], perm, 1), 0.0)
+                z_a[shrink, :w] = np.where(kept, np.take_along_axis(z_a[shrink, :w], perm, 1), 0.0)
+                size[shrink] -= 1
+    w = int(out_size.max())
+    return out_active[:, :w], out_s[:, :w], out_z[:, :w], out_size, out_steps, out_reached
+
+
+def parity_inputs():
+    """The benchmark's shape (N=150, Gaussian p=20), the tie and hold inputs,
+    duplicate points and a point orthogonal to all others."""
+    data = subspace_data(100, 5, (50, 50, 50), seed=61)
+    return {
+        "benchmark_shape": project_columns(make_projector("gaussian", 100, 20, seed=61), data.points),
+        "integer_ties": TIE_POINTS,
+        "held_drop": HOLD_POINTS,
+        "gap_ties": GAP_TIE_POINTS,
+        "drop_tie": DROP_TIE_POINTS,
+        "duplicates": hard_exact_inputs()["duplicates"],
+        "orthogonal_point": points_with_orthogonal_one(),
+    }
+
+
+PARITY_CONFIGS = [SscConfig(), SscConfig(alpha=1.5), EXACT]
+
+
+def assert_path_matches_reference(x, config, monkeypatch):
+    # supports, signs, step counts and verdicts equal, coefficients to 1e-12
+    runs = []
+    for path in (ssc._lasso_path_block, reference_lasso_path_block):
+        monkeypatch.setattr(ssc, "_lasso_path_block", path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the orthogonal point
+            runs.append(ssc_coefficients(x, config, return_info=True))
+    (z, infos), (z_ref, infos_ref) = runs
+    assert np.array_equal(np.sign(z), np.sign(z_ref))
+    assert [i.iterations for i in infos] == [i.iterations for i in infos_ref]
+    assert [i.converged for i in infos] == [i.converged for i in infos_ref]
+    assert np.max(np.abs(z - z_ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("columns", [1, 3, None], ids=["1-column", "3-column", "one-block"])
+@pytest.mark.parametrize("config", PARITY_CONFIGS, ids=["lasso", "lasso-alpha-1.5", "exact"])
+@pytest.mark.parametrize("name", list(parity_inputs()))
+def test_path_matches_reference_bookkeeping(name, config, columns, monkeypatch):
+    x = parity_inputs()[name]
+    solve_in_blocks_of(columns or x.shape[1], x.shape[1], monkeypatch)
+    assert_path_matches_reference(x, config, monkeypatch)
+
+
+@pytest.mark.parametrize("mode", SSC_MODES)
+def test_capped_path_matches_reference_bookkeeping(mode, monkeypatch):
+    # the input of test_step_cap_stops_only_the_long_paths, capped so that
+    # its longest paths stop while the others finish
+    data = subspace_data(50, 3, (8, 8, 8, 8), seed=43)
+    x = project_columns(make_projector("gaussian", 50, 8, seed=43), data.points)
+    _, infos = ssc_coefficients(x, SscConfig(mode=mode), return_info=True)
+    cap = int(np.sort([info.iterations for info in infos])[-4])
+    monkeypatch.setattr(ssc, "MAX_PATH_STEPS", cap / x.shape[1])
+    for columns in (1, 3, x.shape[1]):
+        solve_in_blocks_of(columns, x.shape[1], monkeypatch)
+        assert_path_matches_reference(x, SscConfig(mode=mode), monkeypatch)
+
+
+@pytest.mark.parametrize("mode", SSC_MODES)
+def test_criterion_2_paths_match_reference_bookkeeping(mode, monkeypatch):
+    for x in criterion_2_instances():
+        assert_path_matches_reference(x, SscConfig(mode=mode), monkeypatch)
