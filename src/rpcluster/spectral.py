@@ -62,8 +62,9 @@ def laplacian_eigenvalues(adj: Adjacency) -> np.ndarray:
 
 
 # Every graph is solved as 2I - L in CSR, one connected component at a time:
-# by Lanczos (ARPACK eigsh) on components of this many vertices or more, by
-# a dense LAPACK solve for the bottom pairs below. ARPACK runs per component
+# by Lanczos (ARPACK eigsh) on components of this many vertices or more that
+# are asked for few pairs (25k <= n, see _bottom_eigh), by a dense LAPACK
+# solve for the bottom pairs otherwise. ARPACK runs per component
 # because a Krylov space finds a repeated eigenvalue one copy at a time: on
 # whole TSC graphs with 6 zero eigenvalues it returned only 4 of them, and
 # whole-graph shift-invert missed copies of the 6-fold eigenvalues of 6
@@ -90,26 +91,16 @@ LANCZOS_TOL = 1e-14
 
 def _component_bottom_eigh(block, k: int, eigvals_only: bool = False):
     """Bottom k Laplacian eigenpairs, ascending, of one connected component,
-    given as its dense Laplacian below SPARSE_SOLVE_MIN_N vertices and as its
-    CSR block of 2I - L from there; only the eigenvalues when eigvals_only."""
+    given as its dense Laplacian or as its CSR block of 2I - L; only the
+    eigenvalues when eigvals_only."""
     n = block.shape[0]
-    # Lanczos work grows faster than linearly in k. On one-component TSC
-    # graphs (as above), median of 5 alternating calls, the partial dense
-    # solve against Lanczos at n = 402, 600, 1002, 1500 and 2400: k = n/20
-    # 12/13, 28/31, 87/111, 294/635 and 967/1314 ms; k = n/22 11/13, 32/37,
-    # 92/99, 247/377 and 873/1047 ms; k = n/25 11/11, 25/24, 83/73, 253/315
-    # and 964/877 ms; k = n/30 Lanczos wins at every n
-    if n < SPARSE_SOLVE_MIN_N or 25 * k > n:
-        lap = block
-        if sparse.issparse(block):
-            lap = -block.toarray()
-            np.fill_diagonal(lap, 1.0)
+    if not sparse.issparse(block):
         if k == n:
-            return np.linalg.eigvalsh(lap) if eigvals_only else np.linalg.eigh(lap)
+            return np.linalg.eigvalsh(block) if eigvals_only else np.linalg.eigh(block)
         # LAPACK's dsyevr stops after the bottom k pairs: 1.1 ms at n=150
         # and k=4, against 2.4-3.6 ms for numpy's eigh of all of them
         return linalg.eigh(
-            lap, subset_by_index=[0, k - 1], eigvals_only=eigvals_only, check_finite=False
+            block, subset_by_index=[0, k - 1], eigvals_only=eigvals_only, check_finite=False
         )
     # L's spectrum lies in [0, 2], so its bottom is the top of the PSD matrix
     # 2I - L, which plain Lanczos finds from products alone, with no factor.
@@ -151,25 +142,37 @@ def _bottom_eigh(adj: Adjacency, k: int, eigvals_only: bool = False):
     if n_comp > 1:
         flipped = flipped[order][:, order]
     # each other component's zero eigenvalue comes first, so a component
-    # holds at most k - n_nontrivial + 1 of the bottom k
+    # holds at most k - n_nontrivial + 1 of the bottom k. A component of at
+    # most k vertices is still solved whole: numpy's eigh of all pairs takes
+    # 6-20 us on 2-10 vertices, scipy's partial solve 18-40 us
     bound = max(1, k - int(np.count_nonzero(sizes > 1)) + 1)
     ends = np.cumsum(sizes)
     for a, b in zip(ends - sizes, ends):
-        if b - a < 2:
+        n = b - a
+        if n < 2:
             continue
-        if b - a >= SPARSE_SOLVE_MIN_N:
-            block = flipped if b - a == adj.n else flipped[a:b, a:b]
+        k_c = n if n <= k else min(k, bound)
+        # Lanczos work grows faster than linearly in k. On one-component TSC
+        # graphs (as above), median of 5 alternating calls, the partial dense
+        # solve against Lanczos at n = 402, 600, 1002, 1500 and 2400: k = n/20
+        # 12/13, 28/31, 87/111, 294/635 and 967/1314 ms; k = n/22 11/13,
+        # 32/37, 92/99, 247/377 and 873/1047 ms; k = n/25 11/11, 25/24, 83/73,
+        # 253/315 and 964/877 ms; k = n/30 Lanczos wins at every n
+        if n >= SPARSE_SOLVE_MIN_N and 25 * k_c <= n:
+            block = flipped if n == adj.n else flipped[a:b, a:b]
         else:
             # L's block straight from the CSR arrays: a CSR slice costs more
-            # than the solve on components of a few vertices. Entries that
+            # than the solve on components of a few vertices, and slicing then
+            # densifying takes 1.2-1.7 times as long as this at 400-1600
+            # vertices (0.87 against 0.72 ms at 1002). Entries that
             # 2I - L does not store are -0.0, as in its negated dense copy;
             # LAPACK's reflectors take the sign of a zero
             lo, hi = flipped.indptr[a], flipped.indptr[b]
-            block = np.full((b - a, b - a), -0.0)
-            block[np.repeat(np.arange(b - a), np.diff(flipped.indptr[a : b + 1])),
+            block = np.full((n, n), -0.0)
+            block[np.repeat(np.arange(n), np.diff(flipped.indptr[a : b + 1])),
                   flipped.indices[lo:hi] - a] = -flipped.data[lo:hi]
             np.fill_diagonal(block, 1.0)
-        found = _component_bottom_eigh(block, min(k, b - a, bound), eigvals_only)
+        found = _component_bottom_eigh(block, k_c, eigvals_only)
         vals, vecs = (found, None) if eigvals_only else found
         parts.append((vals, order[a:b], vecs))
     vals = np.concatenate([p[0] for p in parts])

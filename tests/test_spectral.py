@@ -12,7 +12,9 @@ from rpcluster import (
     generate,
     kmeans,
     laplacian_eigenvalues,
+    make_projector,
     normalized_laplacian,
+    project_columns,
     random_orthonormal_basis,
     spectral,
     spectral_cluster,
@@ -628,15 +630,39 @@ def test_tsc_graph_with_many_components():
             assert_bottom_pairs_match_dense(adj, k)
 
 
-def test_components_solve_for_their_share_of_the_pairs(monkeypatch):
+def projected_tsc_graph(seed):
+    """TSC graph (q=4) of 6 x 100 points on random 5-dim subspaces of R^100
+    after a Gaussian projection to p=20: a few components of 100-300 vertices."""
+    bases = [random_orthonormal_basis(100, 5, seed * 10 + i) for i in range(6)]
+    data = generate(UnionModel(bases, (100,) * 6, seed=seed))
+    proj = make_projector("gaussian", 100, 20, seed)
+    return tsc_adjacency(project_columns(proj, data.points), TscConfig(q=4))
+
+
+@pytest.mark.parametrize("lanczos", [False, True], ids=["dense-blocks", "lanczos-blocks"])
+def test_components_solve_for_their_share_of_the_pairs(lanczos, monkeypatch):
     # each nontrivial component has one zero eigenvalue, which comes before
-    # any other component's nonzero ones, so a component holds at most
-    # k - n_nontrivial + 1 of the bottom k (at least 1); isolated vertices do
-    # not count. Below SPARSE_SOLVE_MIN_N a component's dense Laplacian is
-    # filled straight from the permuted CSR arrays of 2I - L, entry for entry
-    # what the CSR slice gives.
-    forest = tsc_adjacency(np.random.default_rng(0).standard_normal((20, 300)), TscConfig(q=1))
-    blocks, _ = large_block_graph(200)
+    # any other component's nonzero ones, so a component of more than k
+    # vertices holds at most k - n_nontrivial + 1 of the bottom k (at least
+    # 1); isolated vertices do not count, and a component of at most k
+    # vertices is solved whole. Every dense Laplacian is filled straight from
+    # the permuted CSR arrays of 2I - L, entry for entry what the CSR slice
+    # gives; Lanczos gets the CSR slice itself
+    if lanczos:
+        # SPARSE_SOLVE_MIN_N lowered so Lanczos runs on every component of
+        # 25 k_c vertices or more: at k=7 on all five components of seed 7
+        # (3 pairs each), on 2 of 3 components of seed 3 (5 pairs each)
+        monkeypatch.setattr(spectral, "SPARSE_SOLVE_MIN_N", 60)
+        graphs = ((projected_tsc_graph(7), 5, (7, 11)), (projected_tsc_graph(3), 3, (7, 11)))
+        # Lanczos stops at residuals of LANCZOS_TOL times eigenvalues of
+        # 2I - L, up to 2: 1.55e-14 on 40 graphs of this shape (k = 3, 7,
+        # 11), 1.70e-14 on 8 tsc_large_n-shaped ones, so 1e-14 is not met
+        tol = 2 * spectral.LANCZOS_TOL
+    else:
+        forest = tsc_adjacency(np.random.default_rng(0).standard_normal((20, 300)), TscConfig(q=1))
+        blocks, _ = large_block_graph(200)
+        graphs = ((forest, 78, (11, 100)), (blocks, 6, (3, 11)))
+        tol = 1e-14
     calls = []
     component_solve = spectral._component_bottom_eigh
     monkeypatch.setattr(
@@ -644,26 +670,35 @@ def test_components_solve_for_their_share_of_the_pairs(monkeypatch):
         "_component_bottom_eigh",
         lambda block, k, *rest: calls.append((block, k)) or component_solve(block, k, *rest),
     )
-    for adj, n_nontrivial, ks in ((forest, 78, (11, 100)), (blocks, 6, (3, 11))):
+    n_lanczos = 0
+    for adj, n_nontrivial, ks in graphs:
         labels = connected_components(adj)
         sizes = np.bincount(labels)
         assert np.count_nonzero(sizes > 1) == n_nontrivial
         order = np.argsort(labels, kind="stable")
         flipped = spectral._sparse_flipped_laplacian(adj)[order][:, order]
         starts = np.cumsum(sizes) - sizes
+        full = np.linalg.eigvalsh(normalized_laplacian(adj))
+        nontrivial = np.flatnonzero(sizes > 1)
         for k in ks:
-            calls.clear()
-            vals = spectral._bottom_eigh(adj, k, eigvals_only=True)
-            full = np.linalg.eigvalsh(normalized_laplacian(adj))
-            assert np.max(np.abs(vals - full[:k])) < 1e-14
-            nontrivial = np.flatnonzero(sizes > 1)
-            assert [k_c for _, k_c in calls] == [
-                min(k, sizes[c], max(1, k - n_nontrivial + 1)) for c in nontrivial
-            ]
-            for (block, _), c in zip(calls, nontrivial):
-                a, b = starts[c], starts[c] + sizes[c]
-                lap = -flipped[a:b, a:b].toarray()
-                np.fill_diagonal(lap, 1.0)
-                assert isinstance(block, np.ndarray)
-                # bitwise, signed zeros too: LAPACK's reflectors take their sign
-                assert block.tobytes() == lap.tobytes()
+            for eigvals_only in (True, False):
+                calls.clear()
+                found = spectral._bottom_eigh(adj, k, eigvals_only=eigvals_only)
+                vals = found if eigvals_only else found[0]
+                assert np.max(np.abs(vals - full[:k])) < tol
+                assert [k_c for _, k_c in calls] == [
+                    sizes[c] if sizes[c] <= k else min(k, max(1, k - n_nontrivial + 1))
+                    for c in nontrivial
+                ]
+                for (block, k_c), c in zip(calls, nontrivial):
+                    a, b = starts[c], starts[c] + sizes[c]
+                    if b - a >= spectral.SPARSE_SOLVE_MIN_N and 25 * k_c <= b - a:
+                        n_lanczos += 1
+                        assert (block != flipped[a:b, a:b]).nnz == 0
+                        continue
+                    lap = -flipped[a:b, a:b].toarray()
+                    np.fill_diagonal(lap, 1.0)
+                    assert isinstance(block, np.ndarray)
+                    # bitwise, signed zeros too: LAPACK's reflectors take their sign
+                    assert block.tobytes() == lap.tobytes()
+    assert (n_lanczos > 0) == lanczos
