@@ -13,7 +13,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields as dataclass_fields
+from dataclasses import MISSING, asdict, dataclass, field, fields as dataclass_fields
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,7 @@ from . import io as dataio
 from .graph import Adjacency
 from .metrics import TheoremReport, clustering_error, false_connections, theorem_report
 from .project import KINDS, ProjectorCalibration, apply, make_projector
-from .spectral import ClusteringResult, spectral_cluster
+from .spectral import L_MAX, ClusteringResult, spectral_cluster
 from .ssc import SSC_MODES, SscConfig, ssc_adjacency
 from .synth import (
     DataSet,
@@ -56,24 +56,27 @@ SWEEP_FIELDS = [
 class ExperimentConfig:
     """Sweep settings: data model, projector grid, algorithms, repetitions."""
 
-    m: int
-    dims: list
-    counts: list
-    seed: int = 0
-    t: int | None = None
-    kinds: list = field(default_factory=lambda: ["gaussian"])
-    p_values: list = field(default_factory=lambda: [0])
-    algorithms: list = field(default_factory=lambda: ["ssc", "tsc"])
-    q: int = 4
-    ssc_mode: str = "lasso_admm"
-    alpha: float = 20.0
+    m: int = field(metadata={"help": "ambient dimension"})
+    dims: list[int] = field(metadata={"help": "subspace dimensions, comma-separated"})
+    counts: list[int] = field(metadata={"help": "points per subspace, comma-separated"})
+    seed: int = field(default=0, metadata={"help": "master seed"})
+    t: int | None = field(
+        default=None,
+        metadata={"help": "intersection dimension for a two-subspace pair (controls affinity)"},
+    )
+    kinds: list[str] = field(default_factory=lambda: ["gaussian"])
+    p_values: list[int] = field(
+        default_factory=lambda: [0], metadata={"help": "target dimensions, 0 = no projection"}
+    )
+    algorithms: list[str] = field(default_factory=lambda: ["ssc", "tsc"])
+    q: int = field(default=TscConfig.q, metadata={"help": "neighbors per point (tsc)"})
+    ssc_mode: str = SscConfig.mode
+    alpha: float = SscConfig.alpha
     repetitions: int = 1
-    l_max: int = 10
+    l_max: int = L_MAX
     out: str = "sweep.csv"
 
     def __post_init__(self):
-        self.dims = [int(d) for d in self.dims]
-        self.counts = [int(n) for n in self.counts]
         if len(self.dims) != len(self.counts):
             raise ValueError("dims and counts must have the same length")
         for kind in self.kinds:
@@ -87,17 +90,18 @@ class ExperimentConfig:
         if not self.p_values:
             raise ValueError("no p values given")
         for p in self.p_values:
-            if p < 0 or p > self.m:
-                raise ValueError(f"p={p} must lie in [0, m={self.m}]")
+            _check_p(p, self.m)
         if not self.kinds:
             raise ValueError("no projector kinds given")
         if self.repetitions < 1:
             raise ValueError("repetitions must be at least 1")
         if self.l_max < 1:
             raise ValueError("l_max must be at least 1")
-        # built once, so bad SSC or TSC settings fail here
+        # built once, so bad SSC or TSC settings, or a model no cell can
+        # build, fail here
         self.ssc = SscConfig(mode=self.ssc_mode, alpha=self.alpha)
         self.tsc = TscConfig(q=self.q)
+        build_model(self.m, self.dims, self.counts, self.t, self.seed)
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "ExperimentConfig":
@@ -106,6 +110,12 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         return cls(**mapping)
+
+
+def _check_p(p: int, m: int) -> None:
+    """A target dimension is 0 (no projection) or a projection to at most m."""
+    if not 0 <= p <= m:
+        raise ValueError(f"p={p} must lie in [0, m={m}]")
 
 
 def _subseed(*parts) -> int:
@@ -145,33 +155,34 @@ def _project(data: DataSet, kind: str, p: int, seed: int) -> tuple[DataSet, floa
 
 
 def _cluster_and_score(
-    algorithm: str, data: DataSet, ssc: SscConfig, tsc: TscConfig,
-    n_clusters: int | None, seed: int, l_max: int,
+    row: dict, data: DataSet, ssc: SscConfig, tsc: TscConfig,
+    n_clusters: int | None, kmeans_seed: int, l_max: int,
 ) -> tuple[dict, ClusteringResult, Adjacency]:
-    """Build the graph, cluster it, and score it when the data carry labels.
+    """Build row["algorithm"]'s graph, cluster it, and score it when the data
+    carry labels.
 
-    Returns the sweep-row fields it measured, the clustering and the graph.
+    row holds the cell's p, algorithm, projection, seed and time_project_ms.
+    Returns it completed to a SWEEP_FIELDS row, the clustering and the graph.
     """
     t0 = time.perf_counter()
-    if algorithm == "ssc":
+    if row["algorithm"] == "ssc":
         adj = ssc_adjacency(data, ssc)
     else:
         adj = tsc_adjacency(data, tsc)
     t1 = time.perf_counter()
-    result = spectral_cluster(adj, n_clusters, seed=seed, l_max=l_max)
+    result = spectral_cluster(adj, n_clusters, seed=kmeans_seed, l_max=l_max)
     t2 = time.perf_counter()
-    fields = {
-        "ce": None,
-        "false_connections": None,
-        "L_hat": result.n_clusters,
-        "time_adjacency_ms": (t1 - t0) * 1e3,
-        "time_spectral_ms": (t2 - t1) * 1e3,
-        "error": "",
-    }
+    row = dict(
+        row,
+        L_hat=result.n_clusters,
+        time_adjacency_ms=(t1 - t0) * 1e3,
+        time_spectral_ms=(t2 - t1) * 1e3,
+        error="",
+    )
     if data.labels is not None:
-        fields["ce"] = clustering_error(result.labels, data.labels)
-        fields["false_connections"] = false_connections(adj, data.labels).count
-    return fields, result, adj
+        row["ce"] = clustering_error(result.labels, data.labels)
+        row["false_connections"] = false_connections(adj, data.labels).count
+    return row, result, adj
 
 
 def _format_value(v) -> str:
@@ -219,18 +230,24 @@ def run_sweep(config: ExperimentConfig) -> list:
                         rows.append(dict(base, algorithm=alg, error=str(exc)))
                     continue
                 for alg in config.algorithms:
-                    row = dict(base, algorithm=alg)
                     try:
-                        fields, _, _ = _cluster_and_score(
-                            alg, working, config.ssc, config.tsc,
+                        row, _, _ = _cluster_and_score(
+                            dict(base, algorithm=alg, time_project_ms=time_project),
+                            working, config.ssc, config.tsc,
                             None, int(streams[2]), config.l_max,
                         )
-                        row.update(fields, time_project_ms=time_project)
                     except Exception as exc:
-                        row["error"] = str(exc)
+                        row = dict(base, algorithm=alg, error=str(exc))
                     rows.append(row)
     rows.sort(key=lambda r: (r["p"], r["algorithm"], r["projection"], r["seed"]))
     return rows
+
+
+# the sweep-row fields a summary row averages, from ce to time_spectral_ms
+MEASURED_FIELDS = SWEEP_FIELDS[SWEEP_FIELDS.index("ce") : SWEEP_FIELDS.index("error")]
+SUMMARY_FIELDS = ["p", "algorithm", "projection", "n", "ce_mean", "ce_std"] + [
+    f"{key}_mean" for key in MEASURED_FIELDS[1:]
+]
 
 
 def summarize_rows(rows) -> list:
@@ -242,37 +259,18 @@ def summarize_rows(rows) -> list:
         cells.setdefault((row["p"], row["algorithm"], row["projection"]), []).append(row)
     out = []
     for (p, alg, kind), group in sorted(cells.items()):
-        ce = np.array([r["ce"] for r in group], dtype=float)
-        fc = np.array([r["false_connections"] for r in group], dtype=float)
+        ce = [r["ce"] for r in group]
         summary = {
             "p": p,
             "algorithm": alg,
             "projection": kind,
             "n": len(group),
-            "ce_mean": float(ce.mean()),
-            "ce_std": float(ce.std(ddof=1)) if len(group) > 1 else 0.0,
-            "false_connections_mean": float(fc.mean()),
-            "L_hat_mean": float(np.mean([r["L_hat"] for r in group])),
+            "ce_std": float(np.std(ce, ddof=1)) if len(group) > 1 else 0.0,
         }
-        for key in ("time_project_ms", "time_adjacency_ms", "time_spectral_ms"):
+        for key in MEASURED_FIELDS:
             summary[f"{key}_mean"] = float(np.mean([r[key] for r in group]))
         out.append(summary)
     return out
-
-
-SUMMARY_FIELDS = [
-    "p",
-    "algorithm",
-    "projection",
-    "n",
-    "ce_mean",
-    "ce_std",
-    "false_connections_mean",
-    "L_hat_mean",
-    "time_project_ms_mean",
-    "time_adjacency_ms_mean",
-    "time_spectral_ms_mean",
-]
 
 
 def summary_path(out_path) -> Path:
@@ -292,21 +290,27 @@ def _str_list(text: str) -> list:
     return [tok for tok in text.split(",") if tok != ""]
 
 
-def _add_model_flags(parser) -> None:
-    parser.add_argument("--m", type=int, required=True, help="ambient dimension")
-    parser.add_argument(
-        "--dims", type=_int_list, required=True, help="subspace dimensions, comma-separated"
-    )
-    parser.add_argument(
-        "--counts", type=_int_list, required=True, help="points per subspace, comma-separated"
-    )
-    parser.add_argument(
-        "--t",
-        type=int,
-        default=None,
-        help="intersection dimension for a two-subspace pair (controls affinity)",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="master seed")
+# the parser of a config flag, by its ExperimentConfig field's annotation
+FIELD_PARSERS = {"int": int, "int | None": int, "float": float, "str": str,
+                 "list[int]": _int_list, "list[str]": _str_list}
+
+
+def _add_config_flags(parser, names, unset_is_none: bool = False) -> None:
+    """Add a flag for each named ExperimentConfig field: the key in kebab-case,
+    parsed by the field's annotation, with the field's help and default (and
+    required when it has none). With unset_is_none every flag defaults to
+    None, so that only the flags given override a config file."""
+    for f in dataclass_fields(ExperimentConfig):
+        if f.name in names:
+            default = None if unset_is_none else f.default
+            parser.add_argument(
+                "--" + f.name.replace("_", "-"),
+                type=FIELD_PARSERS[f.type],
+                choices=SSC_MODES if f.name == "ssc_mode" else None,
+                default=default,
+                required=default is MISSING,
+                help=f.metadata.get("help"),
+            )
 
 
 def cmd_gen(args) -> int:
@@ -327,29 +331,26 @@ def cmd_cluster(args) -> int:
     ssc = SscConfig(mode=args.ssc_mode, alpha=args.alpha)
     tsc = TscConfig(q=args.q)
     data = dataio.read_dataset(args.data, args.labels)
-    if not 0 <= args.p <= data.dim:
-        raise ValueError(f"p={args.p} must lie in [0, m={data.dim}]")
+    _check_p(args.p, data.dim)
     if args.p > 0 and args.projection == "none":
         raise ValueError("p > 0 needs a projection kind")
     working, time_project = _project(data, args.projection, args.p, args.proj_seed)
-    fields, result, adj = _cluster_and_score(
-        args.algorithm, working, ssc, tsc,
-        args.clusters, args.kmeans_seed, args.l_max,
+    cell = {
+        "p": args.p,
+        "algorithm": args.algorithm,
+        "projection": args.projection if args.p > 0 else "none",
+        "seed": args.proj_seed,
+        "time_project_ms": time_project,
+    }
+    row, result, adj = _cluster_and_score(
+        cell, working, ssc, tsc, args.clusters, args.kmeans_seed, args.l_max
     )
     dataio.write_labels_csv(args.out_labels, result.labels)
     print(f"L_hat={result.n_clusters}")
     if data.labels is not None:
-        print(f"ce={fields['ce']:.6f}")
-        print(f"false_connections={fields['false_connections']}")
+        print(f"ce={row['ce']:.6f}")
+        print(f"false_connections={row['false_connections']}")
     if args.timing_csv:
-        row = dict(
-            fields,
-            p=args.p,
-            algorithm=args.algorithm,
-            projection=args.projection if args.p > 0 else "none",
-            seed=args.proj_seed,
-            time_project_ms=time_project,
-        )
         _write_rows(args.timing_csv, SWEEP_FIELDS, [row])
     if args.adjacency_csv:
         dataio.write_adjacency_csv(args.adjacency_csv, adj)
@@ -381,6 +382,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_check(args) -> int:
+    for p in args.p_values:
+        _check_p(p, args.m)
     model = build_model(args.m, args.dims, args.counts, args.t, args.seed)
     cal = ProjectorCalibration(c_tilde=args.c_tilde)
     rows = []
@@ -395,7 +398,7 @@ def cmd_check(args) -> int:
             projection = "none"
         report = theorem_report(model, proj, cal, tau=args.tau, q=args.q)
         record = asdict(report)
-        record["p"] = p if p > 0 else 0
+        record["p"] = p
         record["projection"] = projection
         rows.append(record)
         print(
@@ -437,8 +440,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    model_keys = ("m", "dims", "counts", "t", "seed")
     gen = sub.add_parser("gen", help="generate a synthetic dataset")
-    _add_model_flags(gen)
+    _add_config_flags(gen, model_keys)
     gen.add_argument("--data", required=True, help="output points CSV")
     gen.add_argument("--labels", required=True, help="output labels CSV")
     gen.set_defaults(func=cmd_gen)
@@ -452,13 +456,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cluster.add_argument("--p", type=int, default=0, help="target dimension, 0 = no projection")
     cluster.add_argument("--proj-seed", type=int, default=0)
-    cluster.add_argument("--q", type=int, default=4, help="neighbors per point (tsc)")
-    cluster.add_argument("--ssc-mode", choices=SSC_MODES, default="lasso_admm")
-    cluster.add_argument("--alpha", type=float, default=20.0)
+    _add_config_flags(cluster, ("q", "ssc_mode", "alpha", "l_max"))
     cluster.add_argument(
         "--clusters", type=int, default=None, help="force the cluster count (skip eigengap)"
     )
-    cluster.add_argument("--l-max", type=int, default=10)
     cluster.add_argument("--kmeans-seed", type=int, default=0)
     cluster.add_argument("--out-labels", required=True, help="output predicted labels CSV")
     cluster.add_argument("--timing-csv", default=None, help="optional one-row timing CSV")
@@ -467,32 +468,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="sweep p for each algorithm and projector kind")
     sweep.add_argument("--config", default=None, help="JSON config file")
-    sweep.add_argument("--m", type=int, default=None)
-    sweep.add_argument("--dims", type=_int_list, default=None)
-    sweep.add_argument("--counts", type=_int_list, default=None)
-    sweep.add_argument("--t", type=int, default=None)
-    sweep.add_argument("--seed", type=int, default=None)
-    sweep.add_argument("--kinds", type=_str_list, default=None)
-    sweep.add_argument("--p-values", dest="p_values", type=_int_list, default=None)
-    sweep.add_argument("--algorithms", type=_str_list, default=None)
-    sweep.add_argument("--q", type=int, default=None)
-    sweep.add_argument("--ssc-mode", dest="ssc_mode", choices=SSC_MODES, default=None)
-    sweep.add_argument("--alpha", type=float, default=None)
-    sweep.add_argument("--repetitions", type=int, default=None)
-    sweep.add_argument("--l-max", dest="l_max", type=int, default=None)
-    sweep.add_argument("--out", default=None)
+    _add_config_flags(
+        sweep, [f.name for f in dataclass_fields(ExperimentConfig)], unset_is_none=True
+    )
     sweep.set_defaults(func=cmd_sweep)
 
     check = sub.add_parser("check", help="evaluate success conditions over p")
-    _add_model_flags(check)
+    _add_config_flags(check, model_keys + ("p_values", "q"))
     check.add_argument("--kind", choices=KINDS, default="gaussian")
-    check.add_argument(
-        "--p-values", dest="p_values", type=_int_list, required=True,
-        help="target dimensions, 0 = no projection",
-    )
-    check.add_argument("--c-tilde", dest="c_tilde", type=float, default=0.25)
+    check.add_argument("--c-tilde", type=float, default=ProjectorCalibration.c_tilde)
     check.add_argument("--tau", type=float, default=2.0)
-    check.add_argument("--q", type=int, default=4)
     check.add_argument("--out", required=True, help="output CSV, one row per p")
     check.set_defaults(func=cmd_check)
 

@@ -55,32 +55,38 @@ def read_points_csv(path) -> np.ndarray:
     return _scan_points_csv(path)
 
 
-def _scan_points_csv(path) -> np.ndarray:
-    """read_points_csv cell by cell, with Python's float."""
-    rows = []
+def _scan_csv(path, cell_ok, what: str, width: int | None = None) -> np.ndarray:
+    """The non-blank rows of a CSV file as a float array, one cell at a time
+    with Python's float.
+
+    Every row must hold width cells (the first row's count when None). A cell
+    that is no number or fails cell_ok is a ParseError naming its row and
+    column as not {what}; so are a row of another width and a file of no rows.
+    """
+    values = []
     with open(path, newline="") as fh:
         for i, row in enumerate(csv.reader(fh), start=1):
             if not row:
                 continue
-            parsed = []
+            width = width or len(row)
+            if len(row) != width:
+                raise ParseError(f"row {i}: expected {width} values, got {len(row)}")
             for j, cell in enumerate(row, start=1):
                 try:
                     value = float(cell)
                 except ValueError:
                     value = math.nan
-                if not math.isfinite(value):
-                    raise ParseError(
-                        f"row {i}, column {j}: {cell!r} is not a finite number"
-                    )
-                parsed.append(value)
-            if rows and len(parsed) != len(rows[0]):
-                raise ParseError(
-                    f"row {i}: expected {len(rows[0])} values, got {len(parsed)}"
-                )
-            rows.append(parsed)
-    if not rows:
+                if not cell_ok(value):
+                    raise ParseError(f"row {i}, column {j}: {cell!r} is not {what}")
+                values.append(value)
+    if not values:
         raise ParseError("no data rows found")
-    return np.array(rows, dtype=float).T
+    return np.array(values).reshape(-1, width)
+
+
+def _scan_points_csv(path) -> np.ndarray:
+    """read_points_csv cell by cell."""
+    return _scan_csv(path, math.isfinite, "a finite number").T
 
 
 def write_labels_csv(path, labels) -> None:
@@ -92,25 +98,13 @@ def write_labels_csv(path, labels) -> None:
             writer.writerow([int(v)])
 
 
+def _is_label(value: float) -> bool:
+    return value.is_integer() and abs(value) < 2.0**63  # false for nan and inf too
+
+
 def read_labels_csv(path) -> np.ndarray:
     """Read one integer label per line; 1.0 is accepted, 1.5 is a ParseError."""
-    out = []
-    with open(path, newline="") as fh:
-        for i, row in enumerate(csv.reader(fh), start=1):
-            if not row:
-                continue
-            if len(row) != 1:
-                raise ParseError(f"row {i}: expected a single label, got {len(row)}")
-            try:
-                value = float(row[0])
-            except ValueError:
-                value = math.nan
-            if not (value.is_integer() and abs(value) < 2.0**63):  # also nan and inf
-                raise ParseError(f"row {i}, column 1: {row[0]!r} is not an integer label")
-            out.append(int(value))
-    if not out:
-        raise ParseError("no labels found")
-    return np.array(out, dtype=int)
+    return _scan_csv(path, _is_label, "an integer label", width=1).ravel().astype(int)
 
 
 def write_dataset(data: DataSet, points_path, labels_path=None) -> None:

@@ -188,6 +188,10 @@ def _bottom_eigh(adj: Adjacency, k: int, eigvals_only: bool = False):
     return vals[keep], out
 
 
+# Default number of leading eigengaps the cluster-count estimate compares
+L_MAX = 10
+
+
 def _largest_gap(vals: np.ndarray, l_max: int) -> int:
     """1 + argmax of the first l_max gaps of ascending vals; 1 when there is no gap."""
     top = min(l_max, vals.shape[0] - 1)
@@ -197,7 +201,7 @@ def _largest_gap(vals: np.ndarray, l_max: int) -> int:
     return int(np.argmax(gaps)) + 1
 
 
-def eigengap_estimate(adj: Adjacency, l_max: int = 10) -> int:
+def eigengap_estimate(adj: Adjacency, l_max: int = L_MAX) -> int:
     """Estimated cluster count: argmax of lambda_{i+1} - lambda_i for i <= l_max.
 
     Eigenvalues are ascending; ties go to the smallest i.
@@ -378,7 +382,7 @@ def spectral_cluster(
     adj: Adjacency,
     n_clusters: int | None = None,
     seed: int = 0,
-    l_max: int = 10,
+    l_max: int = L_MAX,
 ) -> ClusteringResult:
     """Cluster the rows of the normalized Laplacian eigenvector embedding.
 

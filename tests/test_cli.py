@@ -1,17 +1,21 @@
 import csv
+import inspect
 import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from rpcluster import SscConfig, TscConfig, spectral_cluster
 from rpcluster.cli import (
     ExperimentConfig,
     SUMMARY_FIELDS,
     SWEEP_FIELDS,
+    build_parser,
     main,
     run_sweep,
     summarize_rows,
@@ -22,6 +26,10 @@ from rpcluster.io import read_labels_csv, read_points_csv
 PINNED_HEADER = (
     "p,algorithm,projection,seed,ce,false_connections,L_hat,"
     "time_project_ms,time_adjacency_ms,time_spectral_ms"
+)
+PINNED_SUMMARY_HEADER = (
+    "p,algorithm,projection,n,ce_mean,ce_std,false_connections_mean,L_hat_mean,"
+    "time_project_ms_mean,time_adjacency_ms_mean,time_spectral_ms_mean"
 )
 
 
@@ -126,15 +134,21 @@ def test_cluster_ssc_exact_l1(tmp_path, capsys):
 def test_cluster_forced_single_cluster(tmp_path):
     data, _ = run_gen(tmp_path, seed=3)
     out_labels = tmp_path / "pred.csv"
+    timing = tmp_path / "timing.csv"
     code = main([
         "cluster",
         "--data", str(data),
         "--algorithm", "tsc",
         "--clusters", "1",
         "--out-labels", str(out_labels),
+        "--timing-csv", str(timing),
     ])
     assert code == 0
     assert np.array_equal(read_labels_csv(out_labels), np.zeros(40, dtype=int))
+    # no labels: the timing row leaves the scores empty
+    row = read_rows(timing)[0]
+    assert (row["projection"], row["ce"], row["false_connections"]) == ("none", "", "")
+    assert (row["L_hat"], row["error"]) == ("1", "")
 
 
 def test_cluster_projected_run_writes_timing(tmp_path):
@@ -301,7 +315,7 @@ def test_sweep_cli_end_to_end(tmp_path, capsys):
     assert summary_path(out).exists()
     summary = read_rows(summary_path(out))
     assert len(summary) == 2
-    assert list(summary[0]) == SUMMARY_FIELDS
+    assert ",".join(summary[0]) == ",".join(SUMMARY_FIELDS) == PINNED_SUMMARY_HEADER
     assert int(summary[0]["n"]) == 2
 
 
@@ -424,6 +438,119 @@ def test_sweep_cli_rejects_q_below_one(tmp_path, capsys):
     assert not summary_path(out).exists()
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"dims": [2, 3], "t": 1}, "two subspaces of equal dimension"),
+        ({"counts": [0, 10]}, "every subspace needs at least one point"),
+        ({"dims": [2, 2], "t": 5}, "0 <= t <= d"),
+    ],
+    ids=["t-unequal-dims", "empty-subspace", "t-above-d"],
+)
+def test_sweep_rejects_unbuildable_model_before_any_row(tmp_path, capsys, overrides, message):
+    settings = {"m": 24, "dims": [2, 2], "counts": [10, 10], **overrides}
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig.from_mapping(settings)
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--p-values", "0", "--algorithms", "tsc", "--out", str(out)]
+    for key, value in settings.items():
+        text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+        argv += ["--" + key, text]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not out.exists()
+    assert not summary_path(out).exists()
+
+
+# one value per ExperimentConfig field, as typed on the command line and as parsed
+SWEEP_FLAG_VALUES = {
+    "m": ("24", 24),
+    "dims": ("2,2", [2, 2]),
+    "counts": ("10,10", [10, 10]),
+    "seed": ("3", 3),
+    "t": ("1", 1),
+    "kinds": ("gaussian,hadamard_sign", ["gaussian", "hadamard_sign"]),
+    "p_values": ("0,8", [0, 8]),
+    "algorithms": ("tsc", ["tsc"]),
+    "q": ("3", 3),
+    "ssc_mode": ("exact_l1", "exact_l1"),
+    "alpha": ("12.5", 12.5),
+    "repetitions": ("2", 2),
+    "l_max": ("7", 7),
+    "out": ("x.csv", "x.csv"),
+}
+
+
+def test_sweep_flag_per_config_field_round_trips():
+    assert list(SWEEP_FLAG_VALUES) == [f.name for f in fields(ExperimentConfig)]
+    argv = ["sweep"]
+    for name, (text, _) in SWEEP_FLAG_VALUES.items():
+        argv += ["--" + name.replace("_", "-"), text]
+    args = build_parser().parse_args(argv)
+    for name, (_, value) in SWEEP_FLAG_VALUES.items():
+        got = getattr(args, name)
+        assert got == value and type(got) is type(value), name
+        if isinstance(value, list):
+            assert all(type(a) is type(b) for a, b in zip(got, value)), name
+    config = ExperimentConfig.from_mapping({name: getattr(args, name) for name in SWEEP_FLAG_VALUES})
+    for name, (_, value) in SWEEP_FLAG_VALUES.items():
+        assert getattr(config, name) == value, name
+    # unset flags are None, so they override nothing in a config file
+    unset = build_parser().parse_args(["sweep"])
+    assert all(getattr(unset, name) is None for name in SWEEP_FLAG_VALUES)
+
+
+def test_sweep_ssc_mode_flag_takes_only_the_solver_modes(capsys):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["sweep", "--ssc-mode", "admm"])
+    assert "invalid choice: 'admm'" in capsys.readouterr().err
+
+
+def test_sweep_unset_flags_keep_the_config_file_values(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "m": 24, "dims": [2, 2], "counts": [10, 10], "kinds": ["gaussian"],
+        "p_values": [0, 8], "algorithms": ["tsc"], "q": 3, "repetitions": 1,
+        "out": str(tmp_path / "from_file.csv"),
+    }))
+    out = tmp_path / "override.csv"
+    code = main(["sweep", "--config", str(cfg_path), "--repetitions", "2", "--out", str(out)])
+    assert code == 0
+    rows = read_rows(out)
+    # p_values, kinds and algorithms from the file, repetitions from the flag
+    assert [r["p"] for r in rows] == ["0", "0", "8", "8"]
+    assert {(r["algorithm"], r["projection"]) for r in rows} == {("tsc", "gaussian")}
+    assert not (tmp_path / "from_file.csv").exists()
+
+
+def test_cli_defaults_are_the_library_defaults():
+    l_max = inspect.signature(spectral_cluster).parameters["l_max"].default
+    args = build_parser().parse_args(
+        ["cluster", "--data", "d.csv", "--algorithm", "ssc", "--out-labels", "o.csv"]
+    )
+    assert (args.q, args.ssc_mode, args.alpha, args.l_max) == (
+        TscConfig().q, SscConfig().mode, SscConfig().alpha, l_max
+    )
+    config = ExperimentConfig(m=10, dims=[2], counts=[5])
+    assert (config.q, config.ssc_mode, config.alpha, config.l_max) == (
+        TscConfig().q, SscConfig().mode, SscConfig().alpha, l_max
+    )
+    check = build_parser().parse_args(
+        ["check", "--m", "10", "--dims", "2", "--counts", "5", "--p-values", "0", "--out", "c.csv"]
+    )
+    assert (check.q, check.seed, check.t) == (TscConfig().q, 0, None)
+
+
+@pytest.mark.parametrize("missing", ["--m", "--dims", "--counts", "--p-values"])
+def test_check_model_flags_and_p_values_are_required(capsys, missing):
+    flags = {"--m": "10", "--dims": "2", "--counts": "5", "--p-values": "0", "--out": "c.csv"}
+    del flags[missing]
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["check"] + [x for kv in flags.items() for x in kv])
+    assert f"the following arguments are required: {missing}" in capsys.readouterr().err
+
+
 def test_experiment_config_builds_tsc_config():
     config = ExperimentConfig(m=10, dims=[2], counts=[5], q=6)
     assert config.tsc.q == 6
@@ -460,6 +587,20 @@ def test_check_rows_and_flags(tmp_path, capsys):
     assert rows[0]["lasso_ok"] in ("True", "False")
     printed = capsys.readouterr().out
     assert printed.count("exact_ok=") == 3
+
+
+@pytest.mark.parametrize("p_values, bad", [("-5,0", -5), ("0,21", 21)])
+def test_check_rejects_p_outside_zero_to_m(tmp_path, capsys, p_values, bad):
+    out = tmp_path / "check.csv"
+    code = main([
+        "check", "--m", "20", "--dims", "3,3", "--counts", "30,30",
+        f"--p-values={p_values}", "--out", str(out),
+    ])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: p={bad} must lie in [0, m=20]\n"
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_check_nested_model_all_false(tmp_path):

@@ -158,6 +158,18 @@ def test_labels_reject_fractional_or_overflowing(tmp_path, cell):
         read_labels_csv(path)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("0\n1,1\n", "row 2: expected 1 values, got 2"),
+    ("0,1\n1,0\n", "row 1: expected 1 values, got 2"),
+    ("\n\n", "no data rows found"),
+])
+def test_labels_one_per_row(tmp_path, text, message):
+    path = tmp_path / "labels.csv"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=message):
+        read_labels_csv(path)
+
+
 def test_labels_accept_integral_floats(tmp_path):
     path = tmp_path / "labels.csv"
     path.write_text("0\n1.0\n2.\n-0.0\n3e0\n")
