@@ -87,10 +87,7 @@ class ExperimentConfig:
                 raise ValueError(f"unknown algorithm {alg!r}")
         if not self.algorithms:
             raise ValueError("no algorithms selected")
-        if not self.p_values:
-            raise ValueError("no p values given")
-        for p in self.p_values:
-            _check_p(p, self.m)
+        _check_p_values(self.p_values, self.m)
         if not self.kinds:
             raise ValueError("no projector kinds given")
         if self.repetitions < 1:
@@ -116,6 +113,14 @@ def _check_p(p: int, m: int) -> None:
     """A target dimension is 0 (no projection) or a projection to at most m."""
     if not 0 <= p <= m:
         raise ValueError(f"p={p} must lie in [0, m={m}]")
+
+
+def _check_p_values(p_values, m: int) -> None:
+    """At least one target dimension, each allowed by _check_p."""
+    if not p_values:
+        raise ValueError("no p values given")
+    for p in p_values:
+        _check_p(p, m)
 
 
 def _subseed(*parts) -> int:
@@ -382,8 +387,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_check(args) -> int:
-    for p in args.p_values:
-        _check_p(p, args.m)
+    _check_p_values(args.p_values, args.m)
     model = build_model(args.m, args.dims, args.counts, args.t, args.seed)
     cal = ProjectorCalibration(c_tilde=args.c_tilde)
     rows = []

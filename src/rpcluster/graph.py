@@ -35,7 +35,13 @@ class Adjacency:
         w.eliminate_zeros()
         if not np.all(np.isfinite(w.data)):
             raise ValueError("adjacency weights must be finite")
-        if (w != w.T).nnz:
+        # canonical CSR arrays are equal exactly when the matrices are
+        t = w.T.tocsr()
+        if not (
+            np.array_equal(w.indptr, t.indptr)
+            and np.array_equal(w.indices, t.indices)
+            and np.array_equal(w.data, t.data)
+        ):
             raise ValueError("adjacency must be exactly symmetric")
         if np.any(w.data < 0):
             raise ValueError("adjacency weights must be nonnegative")

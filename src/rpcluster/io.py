@@ -33,21 +33,27 @@ def write_points_csv(path, points: np.ndarray) -> None:
         np.savetxt(fh, points.T, fmt="%.17g", delimiter=",", newline="\r\n")
 
 
+def _load_csv(path) -> np.ndarray | None:
+    """The CSV file as a 2-d float array read by numpy, or None when numpy
+    refuses it; every file numpy reads, _scan_csv reads to the same values."""
+    with open(path, newline="") as fh, warnings.catch_warnings():
+        # an empty file is the scan's "no data rows found", not a warning
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            return np.loadtxt(
+                fh, delimiter=",", dtype=float, ndmin=2, quotechar='"', comments=None
+            )
+        except ValueError:
+            return None
+
+
 def read_points_csv(path) -> np.ndarray:
     """Read points back into a D x N array (one CSV row per point).
 
     A cell that is not a finite number (text, nan, inf) is a ParseError
     naming its row and column.
     """
-    with open(path, newline="") as fh, warnings.catch_warnings():
-        # an empty file is the scan's "no data rows found", not a warning
-        warnings.simplefilter("ignore", UserWarning)
-        try:
-            values = np.loadtxt(
-                fh, delimiter=",", dtype=float, ndmin=2, quotechar='"', comments=None
-            )
-        except ValueError:
-            values = None
+    values = _load_csv(path)
     if values is not None and values.size and np.isfinite(values).all():
         return values.T
     # numpy refused the file, or read a non-finite value: the per-cell scan
@@ -90,12 +96,10 @@ def _scan_points_csv(path) -> np.ndarray:
 
 
 def write_labels_csv(path, labels) -> None:
-    """Write one integer label per line."""
-    labels = np.asarray(labels)
+    """Write one integer label per line, with csv.writer's "\r\n" line ends."""
+    text = "".join(map("{}\r\n".format, map(int, np.asarray(labels).tolist())))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for v in labels:
-            writer.writerow([int(v)])
+        fh.write(text)
 
 
 def _is_label(value: float) -> bool:
@@ -104,6 +108,15 @@ def _is_label(value: float) -> bool:
 
 def read_labels_csv(path) -> np.ndarray:
     """Read one integer label per line; 1.0 is accepted, 1.5 is a ParseError."""
+    values = _load_csv(path)
+    if (
+        values is not None
+        and values.size
+        and values.shape[1] == 1
+        and np.all((np.floor(values) == values) & (np.abs(values) < 2.0**63))
+    ):
+        return values.ravel().astype(int)
+    # as for points: the scan names the bad cell or row
     return _scan_csv(path, _is_label, "an integer label", width=1).ravel().astype(int)
 
 

@@ -66,10 +66,13 @@ def false_connections(adj: Adjacency, truth) -> FalseConnectionReport:
     truth = np.asarray(truth)
     if truth.shape != (adj.n,):
         raise ValueError("truth labels must have one entry per vertex")
-    iu, ju = sparse.triu(adj.weights, k=1).nonzero()  # stored entries are positive
+    # the upper triangle straight from the CSR arrays; stored entries are positive
+    w = adj.weights
+    rows = np.repeat(np.arange(adj.n), np.diff(w.indptr))
+    upper = w.indices > rows
     return FalseConnectionReport(
-        count=int(np.count_nonzero(truth[iu] != truth[ju])),
-        total_edges=iu.size,
+        count=int(np.count_nonzero(truth[rows[upper]] != truth[w.indices[upper]])),
+        total_edges=int(np.count_nonzero(upper)),
     )
 
 

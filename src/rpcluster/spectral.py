@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg, sparse
 from scipy.sparse import csgraph
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .graph import Adjacency
 
@@ -43,27 +43,15 @@ def normalized_laplacian(adj: Adjacency) -> np.ndarray:
     return lap
 
 
-def _sparse_flipped_laplacian(adj: Adjacency) -> sparse.csr_array:
-    """2I - L = I + D^{-1/2} W D^{-1/2} as CSR: normalized_laplacian(adj) with
-    its off-diagonal negated and its diagonal 1 kept, entry for entry."""
-    w = adj.weights
-    inv_sqrt = _inv_sqrt_degree(w)
-    rows = np.repeat(np.arange(adj.n), np.diff(w.indptr))
-    off = sparse.csr_array(
-        (w.data * (inv_sqrt[rows] * inv_sqrt[w.indices]), w.indices, w.indptr),
-        shape=w.shape,
-    )
-    return off + sparse.csr_array(sparse.identity(adj.n, format="csr"))
-
-
 def laplacian_eigenvalues(adj: Adjacency) -> np.ndarray:
     """All eigenvalues of the normalized Laplacian, ascending."""
     return _bottom_eigh(adj, adj.n, eigvals_only=True)
 
 
-# Every graph is solved as 2I - L in CSR, one connected component at a time:
-# by Lanczos (ARPACK eigsh) on components of this many vertices or more that
-# are asked for few pairs (25k <= n, see _bottom_eigh), by a dense LAPACK
+# Every graph is solved one connected component at a time: by Lanczos
+# (ARPACK eigsh, on the component's CSR block of 2I - L) on components of
+# this many vertices or more that are asked for few pairs (25k <= n, see
+# _bottom_eigh), by a dense LAPACK
 # solve for the bottom pairs otherwise. ARPACK runs per component
 # because a Krylov space finds a repeated eigenvalue one copy at a time: on
 # whole TSC graphs with 6 zero eigenvalues it returned only 4 of them, and
@@ -115,8 +103,14 @@ def _component_bottom_eigh(block, k: int, eigvals_only: bool = False):
     # (4.1e-14 at most)
     rng = np.random.default_rng(0)
     v0 = rng.standard_normal(n)
+    # given the CSR block itself, eigsh multiplies through scipy's matrix
+    # operator, a matrix-matrix product on an (n, 1) reshape with its checks
+    # at every step; the block's own @ adds the same terms in the same order.
+    # eigsh on a 400-vertex tsc_large_n component, k = 3, 2 vCPUs, median of
+    # 60 alternating calls: 5.86 against 6.59 ms, bitwise equal pairs
+    product = LinearOperator(block.shape, matvec=block.__matmul__, dtype=block.dtype)
     found = eigsh(
-        block, 2 * k, which="LA", v0=v0, rng=rng, tol=LANCZOS_TOL,
+        product, 2 * k, which="LA", v0=v0, rng=rng, tol=LANCZOS_TOL,
         return_eigenvectors=not eigvals_only,
     )
     vals, vecs = (found, None) if eigvals_only else found
@@ -131,27 +125,35 @@ def _bottom_eigh(adj: Adjacency, k: int, eigvals_only: bool = False):
     Like scipy.linalg.eigh, returns only the eigenvalues when eigvals_only.
     """
     k = min(k, adj.n)
-    flipped = _sparse_flipped_laplacian(adj)
-    n_comp, comp = csgraph.connected_components(adj.weights, directed=False)
+    w = adj.weights
+    inv_sqrt = _inv_sqrt_degree(w)
+    n_comp, comp = csgraph.connected_components(w, directed=False)
     sizes = np.bincount(comp)
     # isolated vertices: eigenvalue exactly 1 with the unit vector, all at once
     isolated = np.flatnonzero(sizes[comp] == 1)[:k]
     parts = [(np.ones(len(isolated)), isolated, np.eye(len(isolated)))]
-    # one permutation makes every component a contiguous diagonal block
+    # one permutation makes every component a contiguous diagonal block; a
+    # row's columns stay in their order, since each component keeps its
+    # vertices in index order
     order = np.argsort(comp, kind="stable")
     if n_comp > 1:
-        flipped = flipped[order][:, order]
+        w, inv_sqrt = w[order][:, order], inv_sqrt[order]
+    # the off-diagonal entries of 2I - L = I + D^{-1/2} W D^{-1/2}, entry for
+    # entry in W's CSR order
+    rows = np.repeat(np.arange(adj.n), np.diff(w.indptr))
+    off = w.data * (inv_sqrt[rows] * inv_sqrt[w.indices])
     # each other component's zero eigenvalue comes first, so a component
     # holds at most k - n_nontrivial + 1 of the bottom k. A component of at
     # most k vertices is still solved whole: numpy's eigh of all pairs takes
     # 6-20 us on 2-10 vertices, scipy's partial solve 18-40 us
     bound = max(1, k - int(np.count_nonzero(sizes > 1)) + 1)
     ends = np.cumsum(sizes)
-    for a, b in zip(ends - sizes, ends):
+    for a, b in zip((ends - sizes).tolist(), ends.tolist()):
         n = b - a
         if n < 2:
             continue
         k_c = n if n <= k else min(k, bound)
+        lo, hi = w.indptr[a], w.indptr[b]
         # Lanczos work grows faster than linearly in k. On one-component TSC
         # graphs (as above), median of 5 alternating calls, the partial dense
         # solve against Lanczos at n = 402, 600, 1002, 1500 and 2400: k = n/20
@@ -159,18 +161,20 @@ def _bottom_eigh(adj: Adjacency, k: int, eigvals_only: bool = False):
         # 32/37, 92/99, 247/377 and 873/1047 ms; k = n/25 11/11, 25/24, 83/73,
         # 253/315 and 964/877 ms; k = n/30 Lanczos wins at every n
         if n >= SPARSE_SOLVE_MIN_N and 25 * k_c <= n:
-            block = flipped if n == adj.n else flipped[a:b, a:b]
+            # the component's CSR block of 2I - L, built only here
+            off_block = sparse.csr_array(
+                (off[lo:hi], w.indices[lo:hi] - a, w.indptr[a : b + 1] - lo), shape=(n, n)
+            )
+            block = off_block + sparse.eye_array(n, format="csr")
         else:
             # L's block straight from the CSR arrays: a CSR slice costs more
             # than the solve on components of a few vertices, and slicing then
             # densifying takes 1.2-1.7 times as long as this at 400-1600
-            # vertices (0.87 against 0.72 ms at 1002). Entries that
-            # 2I - L does not store are -0.0, as in its negated dense copy;
+            # vertices (0.87 against 0.72 ms at 1002). Entries that W does
+            # not store are -0.0, as in the negated dense copy of 2I - L;
             # LAPACK's reflectors take the sign of a zero
-            lo, hi = flipped.indptr[a], flipped.indptr[b]
             block = np.full((n, n), -0.0)
-            block[np.repeat(np.arange(n), np.diff(flipped.indptr[a : b + 1])),
-                  flipped.indices[lo:hi] - a] = -flipped.data[lo:hi]
+            block[rows[lo:hi] - a, w.indices[lo:hi] - a] = -off[lo:hi]
             np.fill_diagonal(block, 1.0)
         found = _component_bottom_eigh(block, k_c, eigvals_only)
         vals, vecs = (found, None) if eigvals_only else found
@@ -183,7 +187,7 @@ def _bottom_eigh(adj: Adjacency, k: int, eigvals_only: bool = False):
     start = 0
     for part_vals, members, vecs in parts:
         cols = np.flatnonzero((keep >= start) & (keep < start + len(part_vals)))
-        out[np.ix_(members, cols)] = vecs[:, keep[cols] - start]
+        out[members[:, None], cols] = vecs[:, keep[cols] - start]
         start += len(part_vals)
     return vals[keep], out
 
@@ -236,6 +240,39 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
             idx = int(rng.choice(n, p=d2 / total))
         centers[i] = points[idx]
         d2 = np.minimum(d2, np.sum((points - centers[i]) ** 2, axis=1))
+    return centers
+
+
+def _kmeans_pp_starts(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """KMEANS_RESTARTS k-means++ starts, (R, k, dim), drawn in lockstep.
+
+    Bitwise the starts of _kmeans_pp_init called once per restart on rng.
+    While every distance total is positive and finite, the serial loop draws
+    each restart's first index and then one uniform per further center
+    (inside rng.choice), so those draws are made first, in its order, and
+    every restart picks its centers as rng.choice does: the cumulative sum of
+    d2 / total scaled by its last entry, and the count of its entries at most
+    the uniform. Otherwise rng is rewound and the serial loop runs. On
+    spectral embeddings, 2 vCPUs, median of alternating calls against the
+    serial loop: N=150, k=3 0.20 against 0.64 ms; N=2400, k=6 3.5 against
+    8.1 ms.
+    """
+    n = points.shape[0]
+    state = rng.bit_generator.state
+    draws = [(rng.integers(n), rng.random(k - 1)) for _ in range(KMEANS_RESTARTS)]
+    uniforms = np.array([u for _, u in draws])
+    centers = np.empty((KMEANS_RESTARTS, k, points.shape[1]))
+    centers[:, 0] = points[[first for first, _ in draws]]
+    d2 = _sq_dists(points, centers[:, :1])[..., 0]
+    for i in range(1, k):
+        total = d2.sum(axis=1)
+        if not np.all((total > 0) & (total < np.inf)):
+            rng.bit_generator.state = state
+            return np.stack([_kmeans_pp_init(points, k, rng) for _ in range(KMEANS_RESTARTS)])
+        cdf = np.cumsum(d2 / total[:, None], axis=1)
+        cdf /= cdf[:, -1:]
+        centers[:, i] = points[np.count_nonzero(cdf <= uniforms[:, i - 1, None], axis=1)]
+        d2 = np.minimum(d2, _sq_dists(points, centers[:, i : i + 1])[..., 0])
     return centers
 
 
@@ -331,7 +368,7 @@ def _lloyd_restarts(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray
     labels = np.full((n_restarts, points.shape[0]), -1)
     inertia = np.empty(n_restarts)
     serial = [] if points.shape[1] > 1 else list(range(n_restarts))
-    live = np.setdiff1d(np.arange(n_restarts), serial)
+    live = np.arange(0 if serial else n_restarts)
     current = centers[live]
     for it in range(KMEANS_MAX_ITER + 1):
         dists = _sq_dists(points, current)
@@ -367,9 +404,8 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, float]:
         raise ValueError("points must be an (n, k) array, one row per point")
     if not 1 <= k <= points.shape[0]:
         raise ValueError(f"k={k} must be between 1 and the number of points")
-    rng = np.random.default_rng(seed)
     # Lloyd draws nothing, so every start can be drawn before any restart runs
-    starts = np.stack([_kmeans_pp_init(points, k, rng) for _ in range(KMEANS_RESTARTS)])
+    starts = _kmeans_pp_starts(points, k, np.random.default_rng(seed))
     group = max(1, LOCKSTEP_ENTRIES // (points.shape[0] * max(k, points.shape[1])))
     runs = [_lloyd_restarts(points, starts[g : g + group]) for g in range(0, len(starts), group)]
     labels = np.concatenate([run[0] for run in runs])

@@ -603,6 +603,26 @@ def test_check_rejects_p_outside_zero_to_m(tmp_path, capsys, p_values, bad):
     assert not out.exists()
 
 
+def test_check_rejects_empty_p_values(tmp_path, capsys):
+    # the message sweep gives for the same input
+    out = tmp_path / "check.csv"
+    code = main([
+        "check", "--m", "20", "--dims", "3,3", "--counts", "30,30",
+        "--p-values", "", "--out", str(out),
+    ])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: no p values given\n"
+    assert captured.out == ""
+    assert not out.exists()
+    code = main([
+        "sweep", "--m", "20", "--dims", "3,3", "--counts", "30,30",
+        "--p-values", "", "--out", str(tmp_path / "sweep.csv"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == "error: no p values given\n"
+
+
 def test_check_nested_model_all_false(tmp_path):
     out = tmp_path / "check.csv"
     code = main([

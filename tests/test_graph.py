@@ -1,8 +1,11 @@
 import tracemalloc
 
 import numpy as np
+import pytest
+from scipy import sparse
 
 from rpcluster import (
+    Adjacency,
     TscConfig,
     UnionModel,
     false_connections,
@@ -40,3 +43,29 @@ def test_tsc_spectral_metrics_memory_is_bounded():
     assert report.total_edges > 0
     assert max(peaks.values()) <= STAGE_PEAK_MB, peaks
     assert peaks["tsc_adjacency"] <= TSC_PEAK_MB, peaks
+
+
+def directed_cycle(n):
+    """Weight 1 from each vertex to the next: every row and column holds one
+    entry, so W and its transpose have the same indptr and data."""
+    return np.roll(np.eye(n), 1, axis=1)
+
+
+@pytest.mark.parametrize(
+    "make_w",
+    [
+        # in value: the same entries, one of them one ulp off
+        lambda: np.array([[0.0, 1.0], [2.0, 0.0]]),
+        lambda: np.array([[0.0, 0.3, 0.0], [0.3, 0.0, np.nextafter(0.7, 1)], [0.0, 0.7, 0.0]]),
+        # in structure: an entry whose mirror is missing, and entries whose
+        # mirrors sit elsewhere in rows of the same lengths
+        lambda: np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+        lambda: directed_cycle(5),
+    ],
+    ids=["value-2x2", "value-one-ulp", "structure-missing-mirror", "structure-directed-cycle"],
+)
+def test_adjacency_rejects_asymmetry(make_w):
+    w = make_w()
+    for fmt in (np.asarray, sparse.csr_array, sparse.coo_array):
+        with pytest.raises(ValueError, match="^adjacency must be exactly symmetric$"):
+            Adjacency(fmt(w))

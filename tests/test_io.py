@@ -1,3 +1,4 @@
+import csv
 import warnings
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 from rpcluster import Adjacency, DataSet
 from rpcluster.io import (
     ParseError,
+    _is_label,
+    _scan_csv,
     _scan_points_csv,
     read_dataset,
     read_labels_csv,
@@ -125,6 +128,45 @@ def test_labels_round_trip(tmp_path):
     path = tmp_path / "labels.csv"
     write_labels_csv(path, labels)
     assert np.array_equal(read_labels_csv(path), labels)
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [
+        np.array([0, 2, 2, 1, 0, 3]),
+        np.arange(-3, 3, dtype=np.int32),
+        np.array([True, False]),
+        np.array([1.0, 2.0, -0.0]),
+        [2**62, -(2**62), 7],
+        np.array([], dtype=int),
+    ],
+    ids=["int64", "int32-negative", "bool", "integral-floats", "large-python-ints", "empty"],
+)
+def test_write_labels_bytes_match_csv_writer(tmp_path, labels):
+    # the bytes csv.writer writes one label a row at a time, "\r\n" ends and all
+    expected = tmp_path / "expected.csv"
+    with open(expected, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        for v in np.asarray(labels):
+            writer.writerow([int(v)])
+    path = tmp_path / "labels.csv"
+    write_labels_csv(path, labels)
+    assert path.read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["0\r\n1\r\n", "0\n1.0\n\n2.\n-0.0\n3e0\n", ' 4 \n"5"\n+6\n', "1_0\n2\n", "\u0663\n"],
+    ids=["written", "integral-floats", "spaces-quotes-plus", "underscore", "arabic-digit"],
+)
+def test_read_labels_matches_cell_scan(tmp_path, text):
+    # numpy reads the first three, only Python's float the last two
+    path = tmp_path / "labels.csv"
+    path.write_text(text, encoding="utf-8")
+    expected = _scan_csv(path, _is_label, "an integer label", width=1).ravel().astype(int)
+    labels = read_labels_csv(path)
+    assert labels.dtype == expected.dtype
+    assert np.array_equal(labels, expected)
 
 
 def test_labels_reject_non_integer(tmp_path):

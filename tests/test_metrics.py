@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from rpcluster import (
     Adjacency,
     ProjectorCalibration,
     SubspaceBasis,
     TheoremReport,
+    TscConfig,
     UnionModel,
     affinity,
     clustering_error,
@@ -22,6 +24,7 @@ from rpcluster import (
     pseudoinverse_affinity,
     random_orthonormal_basis,
     theorem_report,
+    tsc_adjacency,
 )
 
 
@@ -141,6 +144,21 @@ def test_false_connections_matches_double_loop():
         assert rep.count == count
         assert rep.total_edges == total
         assert rep.count <= rep.total_edges
+
+
+def test_false_connections_match_upper_triangle_count():
+    # the count and the edge total read off scipy's upper triangle; TSC graphs
+    # of several components, and one graph with no edge
+    rng = np.random.default_rng(8)
+    graphs = [Adjacency(np.zeros((4, 4)))]
+    for n, q in ((60, 1), (300, 4), (900, 8)):
+        graphs.append(tsc_adjacency(rng.standard_normal((10, n)), TscConfig(q=q)))
+    for adj in graphs:
+        truth = rng.integers(0, 3, size=adj.n)
+        iu, ju = sparse.triu(adj.weights, k=1).nonzero()
+        rep = false_connections(adj, truth)
+        assert rep.count == np.count_nonzero(truth[iu] != truth[ju])
+        assert rep.total_edges == iu.size
 
 
 def test_false_connections_label_length_mismatch():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from rpcluster import (
@@ -169,7 +170,9 @@ def test_kmeans_deterministic_and_reasonable():
     assert clustering_error(labels1, truth) == 0.0
 
 
-def reference_kmeans_pp_init(points, k, rng):
+def reference_kmeans_pp_init(points, k, rng, zero_totals=None):
+    """One k-means++ start; the center index at which the distance total is 0
+    goes into zero_totals."""
     n = points.shape[0]
     centers = np.empty((k, points.shape[1]))
     centers[0] = points[rng.integers(n)]
@@ -177,6 +180,8 @@ def reference_kmeans_pp_init(points, k, rng):
     for i in range(1, k):
         total = d2.sum()
         if total == 0:
+            if zero_totals is not None:
+                zero_totals.append(i)
             idx = int(rng.integers(n))
         else:
             idx = int(rng.choice(n, p=d2 / total))
@@ -211,13 +216,13 @@ def reference_lloyd(points, centers, revived):
     return labels, inertia
 
 
-def reference_kmeans(points, k, seed, revived):
+def reference_kmeans(points, k, seed, revived, zero_totals=None):
     """k-means++ restarts one after another, each drawn just before its Lloyd
     run: the oracle that kmeans must match bit for bit."""
     rng = np.random.default_rng(seed)
     best_labels, best_inertia = None, np.inf
     for _ in range(spectral.KMEANS_RESTARTS):
-        centers = reference_kmeans_pp_init(points, k, rng)
+        centers = reference_kmeans_pp_init(points, k, rng, zero_totals)
         labels, inertia = reference_lloyd(points, centers, revived)
         if inertia < best_inertia:
             best_inertia = inertia
@@ -265,6 +270,12 @@ def tsc_embedding(n_subspaces, per_subspace, k):
     return spectral_embedding(tsc_adjacency(data.points, TscConfig(q=6)), k)
 
 
+def two_places_points():
+    # 30 points at one place and 20 at another: with k=4 the seeding's
+    # distance total is 0 from the third center on, in every restart
+    return np.repeat(np.array([[0.0, 1.0, 2.0], [3.0, -1.0, 0.5]]), [30, 20], axis=0)
+
+
 def mid_lloyd_empty_points():
     # one of its k=3 restarts empties a cluster at the second Lloyd pass
     rng = np.random.default_rng(472)
@@ -272,37 +283,47 @@ def mid_lloyd_empty_points():
 
 
 @pytest.mark.parametrize(
-    "make_points, k, seed, revive",
+    "make_points, k, seed, revive, zero_at",
     [
-        pytest.param(lambda: tsc_embedding(3, 50, 3), 3, 5, None, id="N=150"),
-        pytest.param(lambda: tsc_embedding(6, 400, 6), 6, 6, None, id="N=2400"),
+        pytest.param(lambda: tsc_embedding(3, 50, 3), 3, 5, None, None, id="N=150"),
+        pytest.param(lambda: tsc_embedding(6, 400, 6), 6, 6, None, None, id="N=2400"),
         # 10 and 130 columns take numpy's 8-way and halving pairwise sums
-        pytest.param(lambda: tsc_embedding(3, 50, 10), 10, 7, None, id="N=150-dim-10"),
+        pytest.param(lambda: tsc_embedding(3, 50, 10), 10, 7, None, None, id="N=150-dim-10"),
         pytest.param(
-            lambda: np.random.default_rng(2).standard_normal((90, 130)), 4, 8, None,
+            lambda: np.random.default_rng(2).standard_normal((90, 130)), 4, 8, None, None,
             id="dim-130",
         ),
-        pytest.param(lambda: np.ones((40, 3)), 4, 9, "init", id="all-identical"),
-        pytest.param(mid_lloyd_empty_points, 3, 472, "lloyd", id="empty-mid-lloyd"),
+        pytest.param(lambda: np.ones((40, 3)), 4, 9, "init", 1, id="all-identical"),
+        pytest.param(two_places_points, 4, 12, "init", 2, id="zero-total-mid-seeding"),
+        pytest.param(mid_lloyd_empty_points, 3, 472, "lloyd", None, id="empty-mid-lloyd"),
         # one column: numpy's mean sums it pairwise, so every restart runs alone
         pytest.param(
-            lambda: np.random.default_rng(3).standard_normal((60, 1)), 3, 10, "serial",
+            lambda: np.random.default_rng(3).standard_normal((60, 1)), 3, 10, "serial", None,
             id="one-column",
         ),
     ],
 )
-def test_kmeans_bitwise_equals_reference(make_points, k, seed, revive, monkeypatch):
+def test_kmeans_bitwise_equals_reference(make_points, k, seed, revive, zero_at, monkeypatch):
     points = make_points()
-    revived = []
-    expected_labels, expected_inertia = reference_kmeans(points, k, seed, revived)
-    serial_runs = []
+    revived, zero_totals = [], []
+    expected_labels, expected_inertia = reference_kmeans(points, k, seed, revived, zero_totals)
+    serial_runs, serial_starts = [], []
     lloyd = spectral._lloyd
     monkeypatch.setattr(
         spectral, "_lloyd", lambda p, c: serial_runs.append(1) or lloyd(p, c)
     )
+    init = spectral._kmeans_pp_init
+    monkeypatch.setattr(
+        spectral, "_kmeans_pp_init", lambda *a: serial_starts.append(1) or init(*a)
+    )
     labels, inertia = kmeans(points, k, seed)
     assert np.array_equal(labels, expected_labels)
     assert inertia == expected_inertia
+    # the starts are drawn in lockstep unless a distance total reaches 0
+    # (first at center zero_at), and then the generator is rewound and every
+    # start is drawn one at a time
+    assert min(zero_totals, default=None) == zero_at
+    assert len(serial_starts) == (0 if zero_at is None else spectral.KMEANS_RESTARTS)
     if revive is None:
         assert revived == [] and serial_runs == []  # every restart ran in lockstep
     elif revive == "serial":
@@ -630,6 +651,20 @@ def test_tsc_graph_with_many_components():
             assert_bottom_pairs_match_dense(adj, k)
 
 
+def flipped_laplacian(adj):
+    """2I - L = I + D^{-1/2} W D^{-1/2} of the whole graph as one CSR matrix,
+    by scipy's sparse sum: the oracle for the per-component blocks the
+    solver fills from W's arrays."""
+    w = adj.weights
+    inv_sqrt = spectral._inv_sqrt_degree(w)
+    rows = np.repeat(np.arange(adj.n), np.diff(w.indptr))
+    off = sparse.csr_array(
+        (w.data * (inv_sqrt[rows] * inv_sqrt[w.indices]), w.indices, w.indptr),
+        shape=w.shape,
+    )
+    return off + sparse.csr_array(sparse.identity(adj.n, format="csr"))
+
+
 def projected_tsc_graph(seed):
     """TSC graph (q=4) of 6 x 100 points on random 5-dim subspaces of R^100
     after a Gaussian projection to p=20: a few components of 100-300 vertices."""
@@ -646,8 +681,8 @@ def test_components_solve_for_their_share_of_the_pairs(lanczos, monkeypatch):
     # vertices holds at most k - n_nontrivial + 1 of the bottom k (at least
     # 1); isolated vertices do not count, and a component of at most k
     # vertices is solved whole. Every dense Laplacian is filled straight from
-    # the permuted CSR arrays of 2I - L, entry for entry what the CSR slice
-    # gives; Lanczos gets the CSR slice itself
+    # the permuted CSR arrays of W, bytewise the negated slice of the whole
+    # graph's 2I - L; Lanczos gets a CSR block with that slice's arrays
     if lanczos:
         # SPARSE_SOLVE_MIN_N lowered so Lanczos runs on every component of
         # 25 k_c vertices or more: at k=7 on all five components of seed 7
@@ -659,9 +694,11 @@ def test_components_solve_for_their_share_of_the_pairs(lanczos, monkeypatch):
         # 11), 1.70e-14 on 8 tsc_large_n-shaped ones, so 1e-14 is not met
         tol = 2 * spectral.LANCZOS_TOL
     else:
+        # a forest, 6 blocks with 2 isolated vertices, and one component
         forest = tsc_adjacency(np.random.default_rng(0).standard_normal((20, 300)), TscConfig(q=1))
         blocks, _ = large_block_graph(200)
-        graphs = ((forest, 78, (11, 100)), (blocks, 6, (3, 11)))
+        whole = block_adjacency([50, 60, 40], rng=np.random.default_rng(4), off_value=1e-3)
+        graphs = ((forest, 78, (11, 100)), (blocks, 6, (3, 11)), (whole, 1, (4, 150)))
         tol = 1e-14
     calls = []
     component_solve = spectral._component_bottom_eigh
@@ -676,7 +713,7 @@ def test_components_solve_for_their_share_of_the_pairs(lanczos, monkeypatch):
         sizes = np.bincount(labels)
         assert np.count_nonzero(sizes > 1) == n_nontrivial
         order = np.argsort(labels, kind="stable")
-        flipped = spectral._sparse_flipped_laplacian(adj)[order][:, order]
+        flipped = flipped_laplacian(adj)[order][:, order]
         starts = np.cumsum(sizes) - sizes
         full = np.linalg.eigvalsh(normalized_laplacian(adj))
         nontrivial = np.flatnonzero(sizes > 1)
@@ -694,7 +731,10 @@ def test_components_solve_for_their_share_of_the_pairs(lanczos, monkeypatch):
                     a, b = starts[c], starts[c] + sizes[c]
                     if b - a >= spectral.SPARSE_SOLVE_MIN_N and 25 * k_c <= b - a:
                         n_lanczos += 1
-                        assert (block != flipped[a:b, a:b]).nnz == 0
+                        expected = flipped[a:b, a:b]
+                        assert np.array_equal(block.indptr, expected.indptr)
+                        assert np.array_equal(block.indices, expected.indices)
+                        assert block.data.tobytes() == expected.data.tobytes()
                         continue
                     lap = -flipped[a:b, a:b].toarray()
                     np.fill_diagonal(lap, 1.0)
