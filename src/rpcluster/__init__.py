@@ -28,18 +28,11 @@ from .project import (
     is_identity,
     jl_distortion_survey,
 )
-from .graph import Adjacency
-from .ssc import (
-    SscConfig,
-    SscColumnInfo,
-    ssc_coefficients,
-    ssc_adjacency,
-    adjacency_from_coefficients,
-)
+from .graph import Adjacency, adjacency_from_coefficients
+from .ssc import SscConfig, SscColumnInfo, ssc_coefficients, ssc_adjacency
 from .tsc import TscConfig, tsc_neighbors, tsc_adjacency
 from .spectral import (
     ClusteringResult,
-    normalized_laplacian,
     laplacian_eigenvalues,
     eigengap_estimate,
     kmeans,
@@ -88,7 +81,6 @@ __all__ = [
     "tsc_neighbors",
     "tsc_adjacency",
     "ClusteringResult",
-    "normalized_laplacian",
     "laplacian_eigenvalues",
     "eigengap_estimate",
     "kmeans",

@@ -321,8 +321,7 @@ def _add_config_flags(parser, names, unset_is_none: bool = False) -> None:
 def cmd_gen(args) -> int:
     model = build_model(args.m, args.dims, args.counts, args.t, args.seed)
     data = generate(model)
-    dataio.write_points_csv(args.data, data.points)
-    dataio.write_labels_csv(args.labels, data.labels)
+    dataio.write_dataset(data, args.data, args.labels)
     print(f"m={model.ambient_dim} L={model.n_subspaces} N={model.n_points}")
     print(f"dims={','.join(str(b.dim) for b in model.bases)} counts={','.join(str(n) for n in model.counts)}")
     for i in range(model.n_subspaces):
@@ -419,7 +418,7 @@ def cmd_ingest(args) -> int:
     data = dataio.read_dataset(args.data, args.labels)
     points = data.points
     if args.renormalize:
-        check_columns(points)
+        check_columns(data)
         points = points / np.linalg.norm(points, axis=0)
     print(f"N={points.shape[1]} D={points.shape[0]}")
     if data.labels is not None:

@@ -1,4 +1,8 @@
-"""The affinity graph shared by SSC, TSC, spectral clustering and the metrics."""
+"""The affinity graph shared by SSC, TSC, spectral clustering and the metrics.
+
+SSC and TSC both build it from their coefficient matrix Z as W = |Z| + |Z|^T,
+through adjacency_from_coefficients.
+"""
 
 from __future__ import annotations
 
@@ -49,3 +53,9 @@ class Adjacency:
             raise ValueError("adjacency diagonal must be zero")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "n", w.shape[0])
+
+
+def adjacency_from_coefficients(z) -> Adjacency:
+    """Symmetrize a coefficient matrix, dense or sparse, into |Z| + |Z|^T."""
+    a = abs(sparse.csr_array(z, dtype=float))
+    return Adjacency(a + a.T)

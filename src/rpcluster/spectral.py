@@ -21,28 +21,6 @@ class ClusteringResult:
     eigenvalues: np.ndarray
 
 
-def _inv_sqrt_degree(w: sparse.csr_array) -> np.ndarray:
-    """D^{-1/2} as a vector, with 0 for isolated (zero-degree) vertices."""
-    deg = w.sum(axis=1)
-    inv_sqrt = np.zeros_like(deg)
-    nz = deg > 0
-    inv_sqrt[nz] = 1.0 / np.sqrt(deg[nz])
-    return inv_sqrt
-
-
-def normalized_laplacian(adj: Adjacency) -> np.ndarray:
-    """Symmetric normalized Laplacian I - D^{-1/2} W D^{-1/2}, as a dense array.
-
-    Isolated vertices (zero degree) keep an identity row/column, i.e. they
-    contribute an eigenvalue of exactly 1. The result is exactly symmetric,
-    since W is and inv_sqrt[i] * inv_sqrt[j] commutes.
-    """
-    inv_sqrt = _inv_sqrt_degree(adj.weights)
-    lap = -adj.weights.toarray() * np.outer(inv_sqrt, inv_sqrt)
-    np.fill_diagonal(lap, 1.0)
-    return lap
-
-
 def laplacian_eigenvalues(adj: Adjacency) -> np.ndarray:
     """All eigenvalues of the normalized Laplacian, ascending."""
     return _bottom_eigh(adj, adj.n, eigvals_only=True)
@@ -126,7 +104,11 @@ def _bottom_eigh(adj: Adjacency, k: int, eigvals_only: bool = False):
     """
     k = min(k, adj.n)
     w = adj.weights
-    inv_sqrt = _inv_sqrt_degree(w)
+    # D^{-1/2} as a vector, with 0 for isolated (zero-degree) vertices
+    deg = w.sum(axis=1)
+    nz = deg > 0
+    inv_sqrt = np.zeros_like(deg)
+    inv_sqrt[nz] = 1.0 / np.sqrt(deg[nz])
     n_comp, comp = csgraph.connected_components(w, directed=False)
     sizes = np.bincount(comp)
     # isolated vertices: eigenvalue exactly 1 with the unit vector, all at once
@@ -317,31 +299,6 @@ def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return total(0, points.shape[1])
 
 
-def _lloyd(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, float]:
-    """One restart of Lloyd's iteration from centers, which it overwrites."""
-    k = centers.shape[0]
-    labels = np.full(points.shape[0], -1)
-    for _ in range(KMEANS_MAX_ITER):
-        dists = _sq_dists(points, centers)
-        new_labels = np.argmin(dists, axis=1)
-        if np.array_equal(new_labels, labels):
-            break
-        labels = new_labels
-        for c in range(k):
-            members = labels == c
-            if np.any(members):
-                centers[c] = points[members].mean(axis=0)
-            else:
-                # revive an empty cluster at the point farthest from its center
-                worst = int(np.argmax(dists[np.arange(len(labels)), labels]))
-                centers[c] = points[worst]
-                labels[worst] = c
-    dists = _sq_dists(points, centers)
-    labels = np.argmin(dists, axis=1)
-    inertia = float(dists[np.arange(len(labels)), labels].sum())
-    return labels, inertia
-
-
 def _cluster_means(points: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """(R, k, dim) cluster means for (R, N) labels with (R, k) nonzero counts.
 
@@ -356,20 +313,43 @@ def _cluster_means(points: np.ndarray, labels: np.ndarray, counts: np.ndarray) -
     return sums.reshape(n_restarts, k, dim) / counts[..., None]
 
 
-def _lloyd_restarts(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_lloyd from each of the (R, k, dim) centers: (R, N) labels, (R,) inertias.
+def _centers_by_cluster(points: np.ndarray, labels: np.ndarray, dists: np.ndarray) -> np.ndarray:
+    """One restart's (k, dim) next centers, cluster by cluster in order, for
+    (N,) labels from (N, k) dists; labels gains each revived cluster's point.
 
-    The restarts iterate in lockstep, each until its labels repeat, with the
-    same arithmetic as _lloyd. A restart that empties a cluster is run again
-    by _lloyd from its start, and so are all of them on one-column points,
-    whose mean numpy sums pairwise, unlike _cluster_means.
+    Each center is numpy's mean of its members; an empty cluster is revived
+    at the point farthest from its center, which moves there before the next
+    cluster's members are taken.
     """
-    n_restarts, k, _ = centers.shape
+    k = dists.shape[1]
+    centers = np.empty((k, points.shape[1]))
+    for c in range(k):
+        members = labels == c
+        if np.any(members):
+            centers[c] = points[members].mean(axis=0)
+        else:
+            worst = int(np.argmax(dists[np.arange(len(labels)), labels]))
+            centers[c] = points[worst]
+            labels[worst] = c
+    return centers
+
+
+def _lloyd_restarts(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lloyd's iteration from each of the (R, k, dim) centers: (R, N) labels,
+    (R,) inertias.
+
+    The restarts iterate in lockstep, each until its labels repeat or for
+    KMEANS_MAX_ITER updates, and are scored on the distances of their last
+    pass. A pass's centers come from _cluster_means, except for a restart
+    whose labels empty a cluster, and for every restart on one-column points,
+    whose mean numpy sums pairwise: those take _centers_by_cluster for that
+    pass and stay in lockstep.
+    """
+    n_restarts, k, dim = centers.shape
     labels = np.full((n_restarts, points.shape[0]), -1)
     inertia = np.empty(n_restarts)
-    serial = [] if points.shape[1] > 1 else list(range(n_restarts))
-    live = np.arange(0 if serial else n_restarts)
-    current = centers[live]
+    live = np.arange(n_restarts)
+    current = centers
     for it in range(KMEANS_MAX_ITER + 1):
         dists = _sq_dists(points, current)
         new_labels = np.argmin(dists, axis=2)
@@ -379,17 +359,17 @@ def _lloyd_restarts(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray
         picked = np.take_along_axis(dists[done], new_labels[done, :, None], axis=2)
         inertia[live[done]] = picked[..., 0].sum(axis=1)
         moving = np.flatnonzero(~done)
-        bins = (new_labels[moving] + k * np.arange(len(moving))[:, None]).ravel()
-        counts = np.bincount(bins, minlength=k * len(moving)).reshape(-1, k)
-        full = counts.min(axis=1) > 0
-        serial.extend(live[moving[~full]])
-        live, moving = live[moving[full]], moving[full]
+        live, new_labels = live[moving], new_labels[moving]
         if not len(live):
             break
-        labels[live] = new_labels[moving]
-        current = _cluster_means(points, labels[live], counts[full])
-    for r in serial:
-        labels[r], inertia[r] = _lloyd(points, centers[r].copy())
+        bins = (new_labels + k * np.arange(len(live))[:, None]).ravel()
+        counts = np.bincount(bins, minlength=k * len(live)).reshape(-1, k)
+        full = (counts.min(axis=1) > 0) & (dim > 1)
+        current = np.empty((len(live), k, dim))
+        current[full] = _cluster_means(points, new_labels[full], counts[full])
+        for r in np.flatnonzero(~full):
+            current[r] = _centers_by_cluster(points, new_labels[r], dists[moving[r]])
+        labels[live] = new_labels
     return labels, inertia
 
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .graph import Adjacency
+from .graph import adjacency_from_coefficients
 from .synth import check_columns
 
 SSC_MODES = ("lasso_admm", "exact_l1")
@@ -375,13 +375,10 @@ def _self_representation(data, config: SscConfig | None):
     """
     if config is None:
         config = SscConfig()
-    x = np.asarray(getattr(data, "points", data), dtype=float)
-    if x.ndim != 2:
-        raise ValueError("data must be a 2-d array of column points")
+    x = check_columns(data)
     n_pts = x.shape[1]
     if n_pts < 2:
         raise ValueError("self-representation needs at least two points")
-    check_columns(x)
 
     exact = config.mode == "exact_l1"
     xt = np.ascontiguousarray(x.T)
@@ -445,12 +442,6 @@ def ssc_coefficients(
     if return_info:
         return z.toarray(), infos
     return z.toarray()
-
-
-def adjacency_from_coefficients(z) -> Adjacency:
-    """Symmetrize a coefficient matrix, dense or sparse, into |Z| + |Z|^T."""
-    a = abs(sparse.csr_array(z, dtype=float))
-    return Adjacency(a + a.T)
 
 
 def ssc_adjacency(data, config: SscConfig | None = None, return_info: bool = False):

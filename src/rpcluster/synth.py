@@ -90,13 +90,21 @@ def check_finite_columns(x: np.ndarray) -> None:
         raise ValueError(f"column {bad} has a non-finite entry")
 
 
-def check_columns(x: np.ndarray) -> None:
-    """Reject points (columns) with a NaN/inf entry or a zero norm, naming the first."""
+def check_columns(data) -> np.ndarray:
+    """The column points of a DataSet or an array, as a 2-d float array.
+
+    Rejects any other shape, and points (columns) with a NaN/inf entry or a
+    zero norm, naming the first.
+    """
+    x = np.asarray(getattr(data, "points", data), dtype=float)
+    if x.ndim != 2:
+        raise ValueError("data must be a 2-d array of column points")
     check_finite_columns(x)
     norms = np.linalg.norm(x, axis=0)
     if np.any(norms == 0):
         bad = int(np.flatnonzero(norms == 0)[0])
         raise ValueError(f"column {bad} is identically zero")
+    return x
 
 
 @dataclass

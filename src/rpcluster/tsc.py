@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .graph import Adjacency
+from .graph import Adjacency, adjacency_from_coefficients
 from .synth import check_columns
 
 
@@ -82,10 +82,7 @@ def _select(data, config: TscConfig) -> tuple[np.ndarray, np.ndarray]:
     and 0.45 s at N=12k, where scoring and partitioning every block in
     float64 took 46 ms and 0.94 s. A block holds BLOCK_MIN_ROWS rows at least.
     """
-    x = np.asarray(getattr(data, "points", data), dtype=float)
-    if x.ndim != 2:
-        raise ValueError("data must be a 2-d array of column points")
-    check_columns(x)
+    x = check_columns(data)
     x = x / np.linalg.norm(x, axis=0)
     n_pts = x.shape[1]
     if config.q > n_pts - 1:
@@ -135,11 +132,12 @@ def tsc_neighbors(data, config: TscConfig | None = None) -> np.ndarray:
 
 
 def tsc_adjacency(data, config: TscConfig | None = None) -> Adjacency:
-    """Adjacency Z + Z^T with spherical-distance weights on selected neighbors.
+    """Adjacency |Z| + |Z|^T with spherical-distance weights on selected neighbors.
 
     The weight on a selected edge (j, i) is exp(-2 * arccos(c_ji)), with c_ji
     the |cosine| that selected it, clamped into [0, 1]. Z is built
-    sparse, with q entries per column.
+    sparse, with q entries per column, and symmetrized by
+    adjacency_from_coefficients, as SSC's is.
     """
     neighbors, cosines = _select(data, config or TscConfig())
     n_pts, q = neighbors.shape
@@ -149,4 +147,5 @@ def tsc_adjacency(data, config: TscConfig | None = None) -> Adjacency:
         (weights.ravel(), neighbors.ravel(), np.arange(0, n_pts * q + 1, q)),
         shape=(n_pts, n_pts),
     )
-    return Adjacency(zt.T + zt)
+    # Z^T gives the same graph as Z, without a conversion from CSC
+    return adjacency_from_coefficients(zt)

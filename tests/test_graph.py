@@ -6,12 +6,18 @@ from scipy import sparse
 
 from rpcluster import (
     Adjacency,
+    SscConfig,
     TscConfig,
     UnionModel,
     false_connections,
     generate,
+    make_projector,
+    project_columns,
     random_orthonormal_basis,
     spectral_cluster,
+    ssc,
+    ssc_adjacency,
+    tsc,
     tsc_adjacency,
 )
 
@@ -69,3 +75,41 @@ def test_adjacency_rejects_asymmetry(make_w):
     for fmt in (np.asarray, sparse.csr_array, sparse.coo_array):
         with pytest.raises(ValueError, match="^adjacency must be exactly symmetric$"):
             Adjacency(fmt(w))
+
+
+def projected_union(seed, n_subspaces, per_subspace):
+    """Points on n_subspaces random 5-dim subspaces of R^100, per_subspace
+    each, after a Gaussian projection to p=20."""
+    bases = [random_orthonormal_basis(100, 5, seed * 10 + i) for i in range(n_subspaces)]
+    data = generate(UnionModel(bases, (per_subspace,) * n_subspaces, seed=seed))
+    return project_columns(make_projector("gaussian", 100, 20, seed), data.points)
+
+
+def assert_same_csr(mine, oracle):
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(mine, name), getattr(oracle, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_tsc_graph_bytes_match_sum_of_z_and_its_transpose(seed):
+    # N=2400, q=8: the oracle sums the CSR Z^T of the selected neighbors and
+    # its transpose, as tsc_adjacency once did itself
+    x = projected_union(seed, 6, 400)
+    neighbors, cosines = tsc._select(x, TscConfig(q=8))
+    n_pts, q = neighbors.shape
+    weights = np.exp(-2.0 * np.arccos(np.clip(cosines, 0.0, 1.0)))
+    zt = sparse.csr_array(
+        (weights.ravel(), neighbors.ravel(), np.arange(0, n_pts * q + 1, q)),
+        shape=(n_pts, n_pts),
+    )
+    assert_same_csr(tsc_adjacency(x, TscConfig(q=8)).weights, Adjacency(zt.T + zt).weights)
+
+
+@pytest.mark.parametrize("seed", [7, 8, 9, 10])
+def test_ssc_graph_bytes_match_abs_z_plus_its_transpose(seed):
+    # N=150, lasso: the oracle adds |Z|, as a CSR array, to its transpose
+    x = projected_union(seed, 3, 50)
+    z, _ = ssc._self_representation(x, SscConfig())
+    a = abs(sparse.csr_array(z))
+    assert_same_csr(ssc_adjacency(x, SscConfig()).weights, Adjacency(a + a.T).weights)

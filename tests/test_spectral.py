@@ -14,7 +14,6 @@ from rpcluster import (
     kmeans,
     laplacian_eigenvalues,
     make_projector,
-    normalized_laplacian,
     project_columns,
     random_orthonormal_basis,
     spectral,
@@ -218,12 +217,15 @@ def reference_lloyd(points, centers, revived):
 
 def reference_kmeans(points, k, seed, revived, zero_totals=None):
     """k-means++ restarts one after another, each drawn just before its Lloyd
-    run: the oracle that kmeans must match bit for bit."""
+    run: the oracle that kmeans must match bit for bit. A (restart, Lloyd
+    iteration) pair goes into revived for each cluster revived."""
     rng = np.random.default_rng(seed)
     best_labels, best_inertia = None, np.inf
-    for _ in range(spectral.KMEANS_RESTARTS):
+    for restart in range(spectral.KMEANS_RESTARTS):
         centers = reference_kmeans_pp_init(points, k, rng, zero_totals)
-        labels, inertia = reference_lloyd(points, centers, revived)
+        run_revived = []
+        labels, inertia = reference_lloyd(points, centers, run_revived)
+        revived.extend((restart, it) for it in run_revived)
         if inertia < best_inertia:
             best_inertia = inertia
             best_labels = labels
@@ -282,6 +284,14 @@ def mid_lloyd_empty_points():
     return rng.standard_normal((10, 2)) * rng.uniform(0.1, 3, (10, 1))
 
 
+def revival_case(seed):
+    """A few points of one or two columns at random scales and the k they
+    are clustered into: such inputs often revive a cluster mid-run."""
+    rng = np.random.default_rng(seed)
+    n, dim, k = rng.integers(8, 16), rng.integers(1, 3), rng.integers(3, 6)
+    return rng.standard_normal((n, dim)) * rng.uniform(0.1, 3, (n, 1)), int(k)
+
+
 @pytest.mark.parametrize(
     "make_points, k, seed, revive, zero_at",
     [
@@ -296,21 +306,32 @@ def mid_lloyd_empty_points():
         pytest.param(lambda: np.ones((40, 3)), 4, 9, "init", 1, id="all-identical"),
         pytest.param(two_places_points, 4, 12, "init", 2, id="zero-total-mid-seeding"),
         pytest.param(mid_lloyd_empty_points, 3, 472, "lloyd", None, id="empty-mid-lloyd"),
-        # one column: numpy's mean sums it pairwise, so every restart runs alone
+        # one column: numpy's mean sums it pairwise, so every pass goes cluster by cluster
         pytest.param(
-            lambda: np.random.default_rng(3).standard_normal((60, 1)), 3, 10, "serial", None,
+            lambda: np.random.default_rng(3).standard_normal((60, 1)), 3, 10, None, None,
             id="one-column",
         ),
+        # revived at the second Lloyd pass: one column (k=3), two columns (k=4)
+        pytest.param(
+            lambda: revival_case(9834)[0], 3, 9834, "lloyd", None, id="one-column-revival"
+        ),
+        pytest.param(lambda: revival_case(18138)[0], 4, 18138, "lloyd", None, id="revival-k=4"),
     ],
 )
 def test_kmeans_bitwise_equals_reference(make_points, k, seed, revive, zero_at, monkeypatch):
     points = make_points()
     revived, zero_totals = [], []
     expected_labels, expected_inertia = reference_kmeans(points, k, seed, revived, zero_totals)
-    serial_runs, serial_starts = [], []
-    lloyd = spectral._lloyd
+    by_cluster, lockstep_rows, serial_starts = [], [], []
+    centers_by_cluster = spectral._centers_by_cluster
     monkeypatch.setattr(
-        spectral, "_lloyd", lambda p, c: serial_runs.append(1) or lloyd(p, c)
+        spectral, "_centers_by_cluster", lambda *a: by_cluster.append(1) or centers_by_cluster(*a)
+    )
+    cluster_means = spectral._cluster_means
+    monkeypatch.setattr(
+        spectral,
+        "_cluster_means",
+        lambda p, lab, n: lockstep_rows.append(len(lab)) or cluster_means(p, lab, n),
     )
     init = spectral._kmeans_pp_init
     monkeypatch.setattr(
@@ -325,13 +346,16 @@ def test_kmeans_bitwise_equals_reference(make_points, k, seed, revive, zero_at, 
     assert min(zero_totals, default=None) == zero_at
     assert len(serial_starts) == (0 if zero_at is None else spectral.KMEANS_RESTARTS)
     if revive is None:
-        assert revived == [] and serial_runs == []  # every restart ran in lockstep
-    elif revive == "serial":
-        assert len(serial_runs) == spectral.KMEANS_RESTARTS
+        assert revived == []
     else:
         # revived at the first Lloyd pass (the starts coincide) or a later one
-        assert (min(revived) == 0) == (revive == "init")
-        assert 0 < len(serial_runs) <= spectral.KMEANS_RESTARTS
+        assert (min(it for _, it in revived) == 0) == (revive == "init")
+    if points.shape[1] == 1:
+        # every pass of every restart takes its centers cluster by cluster
+        assert sum(lockstep_rows) == 0 and len(by_cluster) >= spectral.KMEANS_RESTARTS
+    else:
+        # only the passes that revive a cluster do, once per restart and pass
+        assert len(by_cluster) == len(set(revived))
 
 
 @pytest.mark.parametrize("max_iter", [1, 2, 3])
@@ -651,12 +675,35 @@ def test_tsc_graph_with_many_components():
             assert_bottom_pairs_match_dense(adj, k)
 
 
+def inv_sqrt_degree(w):
+    """D^{-1/2} as a vector, with 0 for isolated (zero-degree) vertices."""
+    deg = w.sum(axis=1)
+    inv_sqrt = np.zeros_like(deg)
+    nz = deg > 0
+    inv_sqrt[nz] = 1.0 / np.sqrt(deg[nz])
+    return inv_sqrt
+
+
+def normalized_laplacian(adj):
+    """Symmetric normalized Laplacian I - D^{-1/2} W D^{-1/2}, as a dense array:
+    the oracle for the eigenpairs the solver finds without forming it.
+
+    Isolated vertices (zero degree) keep an identity row/column, i.e. they
+    contribute an eigenvalue of exactly 1. The result is exactly symmetric,
+    since W is and inv_sqrt[i] * inv_sqrt[j] commutes.
+    """
+    inv_sqrt = inv_sqrt_degree(adj.weights)
+    lap = -adj.weights.toarray() * np.outer(inv_sqrt, inv_sqrt)
+    np.fill_diagonal(lap, 1.0)
+    return lap
+
+
 def flipped_laplacian(adj):
     """2I - L = I + D^{-1/2} W D^{-1/2} of the whole graph as one CSR matrix,
     by scipy's sparse sum: the oracle for the per-component blocks the
     solver fills from W's arrays."""
     w = adj.weights
-    inv_sqrt = spectral._inv_sqrt_degree(w)
+    inv_sqrt = inv_sqrt_degree(w)
     rows = np.repeat(np.arange(adj.n), np.diff(w.indptr))
     off = sparse.csr_array(
         (w.data * (inv_sqrt[rows] * inv_sqrt[w.indices]), w.indices, w.indptr),
