@@ -84,8 +84,7 @@ def projected_affinity(a: SubspaceBasis, b: SubspaceBasis, proj: Projector) -> f
     """
     qa = _projected_orthonormal(a, proj)
     qb = _projected_orthonormal(b, proj)
-    f = np.linalg.norm(qa.T @ qb, "fro")
-    return float(np.clip(f / np.sqrt(min(a.dim, b.dim)), 0.0, 1.0))
+    return affinity(SubspaceBasis(qa), SubspaceBasis(qb))
 
 
 def _projected_orthonormal(basis: SubspaceBasis, proj: Projector) -> np.ndarray:

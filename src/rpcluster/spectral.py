@@ -209,49 +209,33 @@ KMEANS_MAX_ITER = 100
 LOCKSTEP_ENTRIES = 2**15
 
 
-def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n = points.shape[0]
-    centers = np.empty((k, points.shape[1]))
-    centers[0] = points[rng.integers(n)]
-    d2 = np.sum((points - centers[0]) ** 2, axis=1)
-    for i in range(1, k):
-        total = d2.sum()
-        if total == 0:
-            idx = int(rng.integers(n))
-        else:
-            idx = int(rng.choice(n, p=d2 / total))
-        centers[i] = points[idx]
-        d2 = np.minimum(d2, np.sum((points - centers[i]) ** 2, axis=1))
-    return centers
-
-
 def _kmeans_pp_starts(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """KMEANS_RESTARTS k-means++ starts, (R, k, dim), drawn in lockstep.
 
-    Bitwise the starts of _kmeans_pp_init called once per restart on rng.
-    While every distance total is positive and finite, the serial loop draws
-    each restart's first index and then one uniform per further center
-    (inside rng.choice), so those draws are made first, in its order, and
-    every restart picks its centers as rng.choice does: the cumulative sum of
-    d2 / total scaled by its last entry, and the count of its entries at most
-    the uniform. Otherwise rng is rewound and the serial loop runs. On
-    spectral embeddings, 2 vCPUs, median of alternating calls against the
-    serial loop: N=150, k=3 0.20 against 0.64 ms; N=2400, k=6 3.5 against
-    8.1 ms.
+    Each restart draws its first index and then one uniform per further
+    center, in restart order, before any center is picked. A restart picks
+    each further center as rng.choice does with p = d2 / total: the
+    cumulative sum of the weights scaled by its last entry, and the count of
+    its entries at most the uniform. A restart whose total is 0 (its centers
+    already cover every point) weighs every point 1 / N. Raises ValueError
+    when a total overflows.
     """
     n = points.shape[0]
-    state = rng.bit_generator.state
     draws = [(rng.integers(n), rng.random(k - 1)) for _ in range(KMEANS_RESTARTS)]
     uniforms = np.array([u for _, u in draws])
     centers = np.empty((KMEANS_RESTARTS, k, points.shape[1]))
     centers[:, 0] = points[[first for first, _ in draws]]
-    d2 = _sq_dists(points, centers[:, :1])[..., 0]
+    with np.errstate(over="ignore"):  # an overflow raises the ValueError below
+        d2 = _sq_dists(points, centers[:, :1])[..., 0]
+    # d2 only falls as centers are added, so every later total is finite too
+    if not np.isfinite(d2.sum(axis=1)).all():
+        raise ValueError("squared distances between the points overflow")
     for i in range(1, k):
-        total = d2.sum(axis=1)
-        if not np.all((total > 0) & (total < np.inf)):
-            rng.bit_generator.state = state
-            return np.stack([_kmeans_pp_init(points, k, rng) for _ in range(KMEANS_RESTARTS)])
-        cdf = np.cumsum(d2 / total[:, None], axis=1)
+        weights, total = d2, d2.sum(axis=1)
+        zero = total == 0
+        if zero.any():
+            weights, total = np.where(zero[:, None], 1.0, d2), np.where(zero, n, total)
+        cdf = np.cumsum(weights / total[:, None], axis=1)
         cdf /= cdf[:, -1:]
         centers[:, i] = points[np.count_nonzero(cdf <= uniforms[:, i - 1, None], axis=1)]
         d2 = np.minimum(d2, _sq_dists(points, centers[:, i : i + 1])[..., 0])
@@ -260,43 +244,16 @@ def _kmeans_pp_starts(points: np.ndarray, k: int, rng: np.random.Generator) -> n
 
 def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Squared distance from each point to each center: (..., N, k) for centers
-    of shape (..., k, dim).
-
-    Bitwise equal to ((points[:, None] - centers[..., None, :, :]) ** 2).sum(-1),
-    without its dim-wide temporary: the coordinates are added in the order
-    numpy's pairwise sum adds a short contiguous axis, one by one below 8
-    terms, as 8 interleaved partial sums up to 128, by halves above.
-    """
+    of shape (..., k, dim), the coordinates added one at a time, in order."""
 
     def term(j):
         diff = points[:, j, None] - centers[..., None, :, j]
         return np.multiply(diff, diff, out=diff)
 
-    def total(lo, hi):
-        n = hi - lo
-        if n > 128:
-            half = n // 2 - n // 2 % 8
-            return total(lo, lo + half) + total(lo + half, hi)
-        if n < 8:
-            acc = term(lo)
-            for j in range(lo + 1, hi):
-                acc += term(j)
-            return acc
-
-        def every_8th(j):
-            acc = term(lo + j)
-            for i in range(lo + 8 + j, hi - n % 8, 8):
-                acc += term(i)
-            return acc
-
-        acc = ((every_8th(0) + every_8th(1)) + (every_8th(2) + every_8th(3))) + (
-            (every_8th(4) + every_8th(5)) + (every_8th(6) + every_8th(7))
-        )
-        for j in range(hi - n % 8, hi):
-            acc += term(j)
-        return acc
-
-    return total(0, points.shape[1])
+    total = term(0)
+    for j in range(1, points.shape[1]):
+        total += term(j)
+    return total
 
 
 def _cluster_means(points: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -340,10 +297,11 @@ def _lloyd_restarts(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray
 
     The restarts iterate in lockstep, each until its labels repeat or for
     KMEANS_MAX_ITER updates, and are scored on the distances of their last
-    pass. A pass's centers come from _cluster_means, except for a restart
-    whose labels empty a cluster, and for every restart on one-column points,
-    whose mean numpy sums pairwise: those take _centers_by_cluster for that
-    pass and stay in lockstep.
+    pass. Each restart does the arithmetic of Lloyd's iteration run alone from
+    its start, with distances from _sq_dists. A pass's centers come from
+    _cluster_means, except for a restart whose labels empty a cluster, and
+    for every restart on one-column points, whose mean numpy sums pairwise:
+    those take _centers_by_cluster for that pass and stay in lockstep.
     """
     n_restarts, k, dim = centers.shape
     labels = np.full((n_restarts, points.shape[0]), -1)
@@ -377,13 +335,16 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, float]:
     """Seeded k-means++ with restarts; returns (labels, inertia) of the best run.
 
     Restarts share one generator stream, and the best run wins on strictly
-    smaller inertia, so results are reproducible for a fixed seed.
+    smaller inertia, so results are reproducible for a fixed seed. Points with
+    NaN or inf, or whose squared distances overflow, raise ValueError.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
         raise ValueError("points must be an (n, k) array, one row per point")
     if not 1 <= k <= points.shape[0]:
         raise ValueError(f"k={k} must be between 1 and the number of points")
+    if not np.isfinite(points).all():
+        raise ValueError("points must be finite: no NaN or inf")
     # Lloyd draws nothing, so every start can be drawn before any restart runs
     starts = _kmeans_pp_starts(points, k, np.random.default_rng(seed))
     group = max(1, LOCKSTEP_ENTRIES // (points.shape[0] * max(k, points.shape[1])))

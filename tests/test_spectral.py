@@ -5,6 +5,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 from rpcluster import (
     Adjacency,
+    SscConfig,
     TscConfig,
     UnionModel,
     clustering_error,
@@ -18,8 +19,11 @@ from rpcluster import (
     random_orthonormal_basis,
     spectral,
     spectral_cluster,
+    ssc_adjacency,
     tsc_adjacency,
 )
+
+from test_graph import projected_union
 
 
 def block_adjacency(sizes, rng=None, off_value=0.0):
@@ -169,33 +173,42 @@ def test_kmeans_deterministic_and_reasonable():
     assert clustering_error(labels1, truth) == 0.0
 
 
+def sq_dists_in_order(points, centers):
+    """(N, k) squared distances, the coordinates summed one at a time, in order."""
+    squares = (points[:, None, :] - centers[None, :, :]) ** 2
+    total = squares[..., 0]
+    for j in range(1, points.shape[1]):
+        total = total + squares[..., j]
+    return total
+
+
 def reference_kmeans_pp_init(points, k, rng, zero_totals=None):
     """One k-means++ start; the center index at which the distance total is 0
     goes into zero_totals."""
     n = points.shape[0]
     centers = np.empty((k, points.shape[1]))
     centers[0] = points[rng.integers(n)]
-    d2 = np.sum((points - centers[0]) ** 2, axis=1)
+    d2 = sq_dists_in_order(points, centers[:1])[:, 0]
     for i in range(1, k):
         total = d2.sum()
         if total == 0:
             if zero_totals is not None:
                 zero_totals.append(i)
-            idx = int(rng.integers(n))
+            idx = int(rng.choice(n, p=np.full(n, 1 / n)))
         else:
             idx = int(rng.choice(n, p=d2 / total))
         centers[i] = points[idx]
-        d2 = np.minimum(d2, np.sum((points - centers[i]) ** 2, axis=1))
+        d2 = np.minimum(d2, sq_dists_in_order(points, centers[i : i + 1])[:, 0])
     return centers
 
 
 def reference_lloyd(points, centers, revived):
-    """Lloyd's iteration with an (N, k, dim) broadcast per distance pass; the
-    Lloyd iteration at which a cluster is revived goes into revived."""
+    """Lloyd's iteration, one restart alone; the Lloyd iteration at which a
+    cluster is revived goes into revived."""
     k = centers.shape[0]
     labels = np.full(points.shape[0], -1)
     for it in range(spectral.KMEANS_MAX_ITER):
-        dists = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        dists = sq_dists_in_order(points, centers)
         new_labels = np.argmin(dists, axis=1)
         if np.array_equal(new_labels, labels):
             break
@@ -209,7 +222,7 @@ def reference_lloyd(points, centers, revived):
                 worst = int(np.argmax(dists[np.arange(len(labels)), labels]))
                 centers[c] = points[worst]
                 labels[worst] = c
-    dists = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    dists = sq_dists_in_order(points, centers)
     labels = np.argmin(dists, axis=1)
     inertia = float(dists[np.arange(len(labels)), labels].sum())
     return labels, inertia
@@ -234,14 +247,15 @@ def reference_kmeans(points, k, seed, revived, zero_totals=None):
 
 @pytest.mark.parametrize("dim", [1, 3, 7, 8, 10, 16, 23, 128, 130, 300])
 def test_squared_distances_bitwise_equal_broadcast_sum(dim):
-    # coordinates of very different scales, so any other order of the sum rounds
-    # differently: dim < 8 adds one by one, up to 128 in 8 interleaved partial
-    # sums, above that by halves
+    # coordinates of very different scales, so any other order of the sum
+    # rounds differently (numpy's pairwise sum, from 8 terms on, among them);
+    # cumsum adds the broadcast squares one by one, in coordinate order
     rng = np.random.default_rng(dim)
     scales = 10.0 ** rng.uniform(-8, 8, dim)
     points = rng.standard_normal((40, dim)) * scales
     for centers in (points[:5], rng.standard_normal((3, 5, dim)) * scales):
-        expected = ((points[:, None, :] - centers[..., None, :, :]) ** 2).sum(axis=-1)
+        squares = (points[:, None, :] - centers[..., None, :, :]) ** 2
+        expected = np.cumsum(squares, axis=-1)[..., -1]
         assert np.array_equal(spectral._sq_dists(points, centers), expected)
 
 
@@ -297,7 +311,7 @@ def revival_case(seed):
     [
         pytest.param(lambda: tsc_embedding(3, 50, 3), 3, 5, None, None, id="N=150"),
         pytest.param(lambda: tsc_embedding(6, 400, 6), 6, 6, None, None, id="N=2400"),
-        # 10 and 130 columns take numpy's 8-way and halving pairwise sums
+        # 10 and 130 columns: numpy's pairwise sum would add them in another order
         pytest.param(lambda: tsc_embedding(3, 50, 10), 10, 7, None, None, id="N=150-dim-10"),
         pytest.param(
             lambda: np.random.default_rng(2).standard_normal((90, 130)), 4, 8, None, None,
@@ -322,7 +336,7 @@ def test_kmeans_bitwise_equals_reference(make_points, k, seed, revive, zero_at, 
     points = make_points()
     revived, zero_totals = [], []
     expected_labels, expected_inertia = reference_kmeans(points, k, seed, revived, zero_totals)
-    by_cluster, lockstep_rows, serial_starts = [], [], []
+    by_cluster, lockstep_rows = [], []
     centers_by_cluster = spectral._centers_by_cluster
     monkeypatch.setattr(
         spectral, "_centers_by_cluster", lambda *a: by_cluster.append(1) or centers_by_cluster(*a)
@@ -333,18 +347,11 @@ def test_kmeans_bitwise_equals_reference(make_points, k, seed, revive, zero_at, 
         "_cluster_means",
         lambda p, lab, n: lockstep_rows.append(len(lab)) or cluster_means(p, lab, n),
     )
-    init = spectral._kmeans_pp_init
-    monkeypatch.setattr(
-        spectral, "_kmeans_pp_init", lambda *a: serial_starts.append(1) or init(*a)
-    )
     labels, inertia = kmeans(points, k, seed)
     assert np.array_equal(labels, expected_labels)
     assert inertia == expected_inertia
-    # the starts are drawn in lockstep unless a distance total reaches 0
-    # (first at center zero_at), and then the generator is rewound and every
-    # start is drawn one at a time
+    # a distance total reaches 0 first at center zero_at, or never
     assert min(zero_totals, default=None) == zero_at
-    assert len(serial_starts) == (0 if zero_at is None else spectral.KMEANS_RESTARTS)
     if revive is None:
         assert revived == []
     else:
@@ -356,6 +363,17 @@ def test_kmeans_bitwise_equals_reference(make_points, k, seed, revive, zero_at, 
     else:
         # only the passes that revive a cluster do, once per restart and pass
         assert len(by_cluster) == len(set(revived))
+
+
+def test_kmeans_pp_starts_equal_reference_starts_at_zero_totals():
+    # with a total of 0 every point sits on a center, and labels rarely show
+    # which place a further center is drawn at; the starts do
+    points = two_places_points()
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        starts = spectral._kmeans_pp_starts(points, 4, np.random.default_rng(seed))
+        for start in starts:
+            assert np.array_equal(start, reference_kmeans_pp_init(points, 4, rng))
 
 
 @pytest.mark.parametrize("max_iter", [1, 2, 3])
@@ -387,6 +405,50 @@ def test_kmeans_restart_groups_match_one_group(monkeypatch):
 def test_kmeans_more_clusters_than_points_rejected():
     with pytest.raises(ValueError):
         kmeans(np.zeros((3, 2)), 4, seed=0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (np.nan, "points must be finite"),
+        (-np.inf, "points must be finite"),
+        # finite points whose squared distances overflow
+        (1e200, "squared distances between the points overflow"),
+    ],
+    ids=["nan", "inf", "overflow"],
+)
+def test_kmeans_rejects_bad_points(bad, message, k):
+    points = np.random.default_rng(0).standard_normal((20, 2))
+    points[4, 1] = bad
+    with pytest.raises(ValueError, match=message):
+        kmeans(points, k, seed=0)
+
+
+# spectral_cluster labels as (label, run length) pairs, recorded when the
+# k-means distances still copied numpy's pairwise sum, which adds fewer than
+# 8 coordinates one at a time, in order, as they are added now
+PINNED_LABEL_RUNS = {
+    "ssc_lasso_proj": [(2, 50), (1, 50), (0, 50)],
+    "tsc_large_n": [
+        (3, 400), (1, 400), (5, 400), (4, 400), (2, 355), (0, 1), (2, 44), (0, 400),
+    ],
+}
+
+
+@pytest.mark.parametrize("workload", sorted(PINNED_LABEL_RUNS))
+def test_spectral_cluster_labels_pinned(workload):
+    # the benchmark's shapes: SSC at N=150 with k=3, TSC at N=2400 (q=8) with k=6
+    if workload == "ssc_lasso_proj":
+        seed, k = 7, 3
+        adj = ssc_adjacency(projected_union(seed, k, 50), SscConfig())
+    else:
+        seed, k = 2, 6
+        adj = tsc_adjacency(projected_union(seed, k, 400), TscConfig(q=8))
+    values, runs = zip(*PINNED_LABEL_RUNS[workload])
+    labels = spectral_cluster(adj, k, seed=seed).labels
+    assert np.array_equal(labels, np.repeat(values, runs))
 
 
 def test_spectral_cluster_invalid_cluster_count():
