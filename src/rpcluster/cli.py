@@ -94,11 +94,13 @@ class ExperimentConfig:
             raise ValueError("repetitions must be at least 1")
         if self.l_max < 1:
             raise ValueError("l_max must be at least 1")
-        # built once, so bad SSC or TSC settings, or a model no cell can
-        # build, fail here
+        # built once, so bad SSC or TSC settings, a model no cell can build,
+        # or a q too large for every cell's points, fail here
         self.ssc = SscConfig(mode=self.ssc_mode, alpha=self.alpha)
         self.tsc = TscConfig(q=self.q)
-        build_model(self.m, self.dims, self.counts, self.t, self.seed)
+        model = build_model(self.m, self.dims, self.counts, self.t, self.seed)
+        if "tsc" in self.algorithms:
+            self.tsc.check_points(model.n_points)
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "ExperimentConfig":
@@ -415,6 +417,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_ingest(args) -> int:
+    if args.out_labels and args.labels is None:
+        raise ValueError("no labels file given to copy")
     data = dataio.read_dataset(args.data, args.labels)
     points = data.points
     if args.renormalize:
@@ -429,8 +433,6 @@ def cmd_ingest(args) -> int:
         dataio.write_points_csv(args.out_data, points)
         print(f"wrote {args.out_data}")
     if args.out_labels:
-        if data.labels is None:
-            raise ValueError("no labels file given to copy")
         dataio.write_labels_csv(args.out_labels, data.labels)
         print(f"wrote {args.out_labels}")
     return 0

@@ -257,38 +257,14 @@ def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
 
 
 def _cluster_means(points: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """(R, k, dim) cluster means for (R, N) labels with (R, k) nonzero counts.
-
+    """(R, k, dim) cluster means for (R, N) labels with (R, k) nonzero counts:
     np.bincount adds each (restart, cluster, coordinate) bin's points in point
-    order, as numpy's mean over axis 0 of two or more columns does, so each
-    mean is bitwise points[labels[r] == c].mean(axis=0).
-    """
+    order, one column included, and each sum is divided by its count."""
     n_restarts, k = counts.shape
     dim = points.shape[1]
     bins = (labels + k * np.arange(n_restarts)[:, None])[..., None] * dim + np.arange(dim)
     sums = np.bincount(bins.ravel(), np.tile(points.ravel(), n_restarts), counts.size * dim)
     return sums.reshape(n_restarts, k, dim) / counts[..., None]
-
-
-def _centers_by_cluster(points: np.ndarray, labels: np.ndarray, dists: np.ndarray) -> np.ndarray:
-    """One restart's (k, dim) next centers, cluster by cluster in order, for
-    (N,) labels from (N, k) dists; labels gains each revived cluster's point.
-
-    Each center is numpy's mean of its members; an empty cluster is revived
-    at the point farthest from its center, which moves there before the next
-    cluster's members are taken.
-    """
-    k = dists.shape[1]
-    centers = np.empty((k, points.shape[1]))
-    for c in range(k):
-        members = labels == c
-        if np.any(members):
-            centers[c] = points[members].mean(axis=0)
-        else:
-            worst = int(np.argmax(dists[np.arange(len(labels)), labels]))
-            centers[c] = points[worst]
-            labels[worst] = c
-    return centers
 
 
 def _lloyd_restarts(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -297,13 +273,14 @@ def _lloyd_restarts(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray
 
     The restarts iterate in lockstep, each until its labels repeat or for
     KMEANS_MAX_ITER updates, and are scored on the distances of their last
-    pass. Each restart does the arithmetic of Lloyd's iteration run alone from
-    its start, with distances from _sq_dists. A pass's centers come from
-    _cluster_means, except for a restart whose labels empty a cluster, and
-    for every restart on one-column points, whose mean numpy sums pairwise:
-    those take _centers_by_cluster for that pass and stay in lockstep.
+    pass, with the arithmetic of Lloyd's iteration run alone from its start.
+    Before a pass takes its centers from _cluster_means it revives empty
+    clusters in order: each restart in which cluster c is empty moves into c
+    its point farthest from its current center, by that pass's distances and
+    the labels as earlier revivals left them; only points of clusters of two
+    or more qualify, and ties go to the smaller index.
     """
-    n_restarts, k, dim = centers.shape
+    n_restarts, k = centers.shape[:2]
     labels = np.full((n_restarts, points.shape[0]), -1)
     inertia = np.empty(n_restarts)
     live = np.arange(n_restarts)
@@ -314,19 +291,23 @@ def _lloyd_restarts(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray
         # done when the labels repeat, or after KMEANS_MAX_ITER updates
         done = (new_labels == labels[live]).all(axis=1) | (it == KMEANS_MAX_ITER)
         labels[live[done]] = new_labels[done]
-        picked = np.take_along_axis(dists[done], new_labels[done, :, None], axis=2)
-        inertia[live[done]] = picked[..., 0].sum(axis=1)
+        picked = np.take_along_axis(dists, new_labels[..., None], axis=2)[..., 0]
+        inertia[live[done]] = picked[done].sum(axis=1)
         moving = np.flatnonzero(~done)
-        live, new_labels = live[moving], new_labels[moving]
+        live, new_labels, picked = live[moving], new_labels[moving], picked[moving]
         if not len(live):
             break
         bins = (new_labels + k * np.arange(len(live))[:, None]).ravel()
         counts = np.bincount(bins, minlength=k * len(live)).reshape(-1, k)
-        full = (counts.min(axis=1) > 0) & (dim > 1)
-        current = np.empty((len(live), k, dim))
-        current[full] = _cluster_means(points, new_labels[full], counts[full])
-        for r in np.flatnonzero(~full):
-            current[r] = _centers_by_cluster(points, new_labels[r], dists[moving[r]])
+        # picked keeps a revived point's old distance; alone, it never qualifies
+        for c in np.flatnonzero((counts == 0).any(axis=0)):
+            r = np.flatnonzero(counts[:, c] == 0)
+            qualify = np.take_along_axis(counts[r], new_labels[r], axis=1) >= 2
+            worst = np.where(qualify, picked[r], -1.0).argmax(axis=1)
+            counts[r, new_labels[r, worst]] -= 1
+            counts[r, c] = 1
+            new_labels[r, worst] = c
+        current = _cluster_means(points, new_labels, counts)
         labels[live] = new_labels
     return labels, inertia
 

@@ -293,25 +293,28 @@ def _certify_block(
     """Final coefficients and certificates of a block's paths.
 
     Returns the coefficients, padded like the path's active sets, and the
-    per-column SscColumnInfo. With exact=True the columns are basis
-    pursuit's: z is solved on the final support at lambda = 0 and certified
-    there.
+    per-column SscColumnInfo. Columns are solved in one batch per support
+    size |A|, the lasso's on G_AA. With exact=True they are basis pursuit's,
+    solved at lambda = 0 from a QR of X_A: z from R z = Q^T x_j, and the
+    certificate nu = Q R^{-T} s, the least-norm nu with X_A^T nu = s.
     """
     active, s, z_a, size, steps, reached = path
     # re-solve on the support and signs the path found, free of the rounding
     # the inverse updates gathered; a coefficient that is zero at the end may
-    # come out at rounding level with the wrong sign. At lambda = 0 this is
-    # least squares on X_A, which keeps the conditioning of X_A where
-    # G_AA = X_A^T X_A would square it. Lasso columns are solved together,
-    # one batch per support size.
+    # come out at rounding level with the wrong sign. The QR keeps the
+    # conditioning of X_A, where G_AA = X_A^T X_A would square it.
     if exact:
-        for b in np.flatnonzero(reached):
-            x_a = xt[active[b, :size[b]]].T
-            z_a[b, :size[b]] = np.linalg.lstsq(x_a, xt[cols[b]], rcond=None)[0]
-    else:
-        for k in np.unique(size[reached]):
-            sel = np.flatnonzero(reached & (size == k))
-            x_a = xt[active[sel, :k]]
+        nu = np.zeros((len(cols), x.shape[0]))
+    for k in np.unique(size if exact else size[reached]):
+        sel = np.flatnonzero(size == k if exact else reached & (size == k))
+        x_a = xt[active[sel, :k]]
+        if exact:
+            q, r = np.linalg.qr(x_a.transpose(0, 2, 1))
+            nu[sel] = (q @ np.linalg.solve(r.transpose(0, 2, 1), s[sel, :k, None]))[:, :, 0]
+            hit = reached[sel]
+            qtx = q[hit].transpose(0, 2, 1) @ xt[cols[sel[hit]], :, None]
+            z_a[sel[hit], :k] = np.linalg.solve(r[hit], qtx)[:, :, 0]
+        else:
             rhs = x_a @ xt[cols[sel], :, None] - lam_end[sel, None, None] * s[sel, :k, None]
             z_a[sel, :k] = np.linalg.solve(x_a @ x_a.transpose(0, 2, 1), rhs)[:, :, 0]
     z_a[reached[:, None] & (s * z_a <= 0)] = 0.0
@@ -320,13 +323,7 @@ def _certify_block(
     # digits to cancellation
     resid = xt[cols] - (z_a[:, None, :] @ xt[active])[:, 0]
     if exact:
-        # certificate: nu with X_A^T nu = s (nu = X_A G_AA^{-1} s, the
-        # lasso's residual / lambda), so z is optimal if |X^T nu| <= 1 off A
-        # and x_j = X z
-        nu = np.stack([
-            np.linalg.lstsq(xt[active[b, :size[b]]], s[b, :size[b]], rcond=None)[0]
-            for b in rows
-        ])
+        # z is optimal if |X^T nu| <= 1 off A and x_j = X z
         g = nu @ x
         g[rows, cols] = 0.0
         on_a = np.abs(g[rows[:, None], active] - s).max(axis=1)

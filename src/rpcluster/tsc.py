@@ -21,6 +21,11 @@ class TscConfig:
         if self.q < 1:
             raise ValueError("q must be at least 1")
 
+    def check_points(self, n_pts: int) -> None:
+        """Each of n_pts points needs q others to pick its neighbors from."""
+        if self.q > n_pts - 1:
+            raise ValueError(f"q={self.q} needs at least q+1 points, got {n_pts}")
+
 
 # Score entries (float32) held per block of rows. Scoring a block takes two
 # float32 arrays of this size (the scores and the partition copy) and a
@@ -85,10 +90,7 @@ def _select(data, config: TscConfig) -> tuple[np.ndarray, np.ndarray]:
     x = check_columns(data)
     x = x / np.linalg.norm(x, axis=0)
     n_pts = x.shape[1]
-    if config.q > n_pts - 1:
-        raise ValueError(
-            f"q={config.q} needs at least q+1 points, got {n_pts}"
-        )
+    config.check_points(n_pts)
     q = config.q
     x32 = x.astype(np.float32)
     # rounded up, and each floor rounded down, so no floor exceeds c - 2e

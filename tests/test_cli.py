@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rpcluster import SscConfig, TscConfig, spectral_cluster
+from rpcluster import SscConfig, TscConfig, cli, spectral_cluster
 from rpcluster.cli import (
     ExperimentConfig,
     SUMMARY_FIELDS,
@@ -438,6 +438,52 @@ def test_sweep_cli_rejects_q_below_one(tmp_path, capsys):
     assert not summary_path(out).exists()
 
 
+def test_sweep_rejects_tsc_q_above_the_points_before_any_row(tmp_path, capsys):
+    # every cell has sum(counts) = 6 points, so q=6 leaves a point too few others
+    out = tmp_path / "sweep.csv"
+    code = main([
+        "sweep", "--m", "24", "--dims", "2,2", "--counts", "3,3",
+        "--p-values", "0", "--q", "6", "--out", str(out),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == "error: q=6 needs at least q+1 points, got 6\n"
+    assert not out.exists()
+    assert not summary_path(out).exists()
+    # q=5 leaves every point 5 others; without TSC q is not used
+    settings = {"m": 24, "dims": [2, 2], "counts": [3, 3]}
+    assert ExperimentConfig.from_mapping({**settings, "q": 5}).tsc.q == 5
+    assert ExperimentConfig.from_mapping({**settings, "q": 6, "algorithms": ["ssc"]}).q == 6
+
+
+def test_sweep_records_a_failing_cell_and_goes_on(tmp_path, capsys, monkeypatch):
+    def failing(data, config):
+        raise RuntimeError("graph failed")
+
+    monkeypatch.setattr(cli, "tsc_adjacency", failing)
+    out = tmp_path / "sweep.csv"
+    code = main([
+        "sweep", "--m", "24", "--dims", "2,2", "--counts", "10,10",
+        "--kinds", "gaussian", "--p-values", "0,8", "--algorithms", "tsc,ssc",
+        "--q", "3", "--out", str(out),
+    ])
+    assert code == 0
+    assert f"wrote {out} (4 rows, 2 failed)" in capsys.readouterr().out
+    rows = read_rows(out)
+    assert [(r["p"], r["algorithm"]) for r in rows] == [
+        ("0", "ssc"), ("0", "tsc"), ("8", "ssc"), ("8", "tsc")
+    ]
+    for row in rows:
+        if row["algorithm"] == "tsc":
+            assert row["error"] == "graph failed"
+            assert row["ce"] == row["L_hat"] == row["time_adjacency_ms"] == ""
+        else:
+            # the SSC cell after the failed TSC cell still runs
+            assert row["error"] == ""
+            assert 0.0 <= float(row["ce"]) <= 1.0
+    summary = read_rows(summary_path(out))
+    assert [(r["p"], r["algorithm"], r["n"]) for r in summary] == [("0", "ssc", "1"), ("8", "ssc", "1")]
+
+
 @pytest.mark.parametrize(
     "overrides, message",
     [
@@ -552,7 +598,8 @@ def test_check_model_flags_and_p_values_are_required(capsys, missing):
 
 
 def test_experiment_config_builds_tsc_config():
-    config = ExperimentConfig(m=10, dims=[2], counts=[5], q=6)
+    # 7 points: each has the 6 others that q=6 asks for
+    config = ExperimentConfig(m=10, dims=[2], counts=[7], q=6)
     assert config.tsc.q == 6
     with pytest.raises(ValueError, match="q must be at least 1"):
         ExperimentConfig(m=10, dims=[2], counts=[5], q=0)
@@ -660,6 +707,29 @@ def test_ingest_round_trip(tmp_path, capsys):
     assert "N=40 D=30" in printed
     assert "labels 0:20 1:20" in printed
     assert np.max(np.abs(read_points_csv(out_data) - read_points_csv(data))) < 1e-15
+
+
+def test_ingest_copies_labels_byte_for_byte(tmp_path, capsys):
+    data, labels = run_gen(tmp_path, seed=7)
+    out_labels = tmp_path / "labels_copy.csv"
+    code = main([
+        "ingest", "--data", str(data), "--labels", str(labels), "--out-labels", str(out_labels),
+    ])
+    assert code == 0
+    assert f"wrote {out_labels}" in capsys.readouterr().out
+    assert out_labels.read_bytes() == labels.read_bytes()
+
+
+def test_ingest_rejects_out_labels_without_labels_before_writing(tmp_path, capsys):
+    data, _ = run_gen(tmp_path, seed=7)
+    out_data, out_labels = tmp_path / "copy.csv", tmp_path / "labels_copy.csv"
+    code = main([
+        "ingest", "--data", str(data),
+        "--out-data", str(out_data), "--out-labels", str(out_labels),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == "error: no labels file given to copy\n"
+    assert not out_data.exists() and not out_labels.exists()
 
 
 def test_ingest_renormalizes(tmp_path):

@@ -213,25 +213,32 @@ def reference_lloyd(points, centers, revived):
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
+        # empty clusters first, in order: each takes the point farthest from
+        # its center among the clusters of two or more points
         for c in range(k):
-            members = labels == c
-            if np.any(members):
-                centers[c] = points[members].mean(axis=0)
-            else:
+            if not np.any(labels == c):
                 revived.append(it)
-                worst = int(np.argmax(dists[np.arange(len(labels)), labels]))
-                centers[c] = points[worst]
-                labels[worst] = c
+                sizes = np.bincount(labels, minlength=k)
+                spread = np.where(sizes[labels] >= 2, dists[np.arange(len(labels)), labels], -1.0)
+                labels[int(np.argmax(spread))] = c
+        for c in range(k):
+            # the members added one at a time, in point order
+            members = points[labels == c]
+            total = members[0].copy()
+            for point in members[1:]:
+                total += point
+            centers[c] = total / len(members)
     dists = sq_dists_in_order(points, centers)
     labels = np.argmin(dists, axis=1)
     inertia = float(dists[np.arange(len(labels)), labels].sum())
     return labels, inertia
 
 
-def reference_kmeans(points, k, seed, revived, zero_totals=None):
+def reference_kmeans(points, k, seed, revived, zero_totals=None, runs=None):
     """k-means++ restarts one after another, each drawn just before its Lloyd
     run: the oracle that kmeans must match bit for bit. A (restart, Lloyd
-    iteration) pair goes into revived for each cluster revived."""
+    iteration) pair goes into revived for each cluster revived, and each
+    restart's (labels, inertia) into runs."""
     rng = np.random.default_rng(seed)
     best_labels, best_inertia = None, np.inf
     for restart in range(spectral.KMEANS_RESTARTS):
@@ -239,6 +246,8 @@ def reference_kmeans(points, k, seed, revived, zero_totals=None):
         run_revived = []
         labels, inertia = reference_lloyd(points, centers, run_revived)
         revived.extend((restart, it) for it in run_revived)
+        if runs is not None:
+            runs.append((labels, inertia))
         if inertia < best_inertia:
             best_inertia = inertia
             best_labels = labels
@@ -259,10 +268,11 @@ def test_squared_distances_bitwise_equal_broadcast_sum(dim):
         assert np.array_equal(spectral._sq_dists(points, centers), expected)
 
 
-@pytest.mark.parametrize("dim", [2, 3, 8, 12])
-def test_cluster_means_bitwise_equal_numpy_mean(dim):
+@pytest.mark.parametrize("dim", [1, 2, 3, 8, 12])
+def test_cluster_means_bitwise_equal_in_order_sum(dim):
     # coordinates of very different scales: summed in another order than
-    # point order (reversed, say) the means round differently
+    # point order (reversed, or numpy's pairwise sum of one column) the
+    # means round differently; cumsum adds the points one by one, in order
     rng = np.random.default_rng(dim)
     points = rng.standard_normal((300, dim)) * 10.0 ** rng.uniform(-8, 8, dim)
     labels = rng.integers(0, 4, size=(3, 300))
@@ -271,7 +281,11 @@ def test_cluster_means_bitwise_equal_numpy_mean(dim):
     means = spectral._cluster_means(points, labels, counts)
     for r in range(3):
         for c in range(4):
-            assert np.array_equal(means[r, c], points[labels[r] == c].mean(axis=0))
+            members = points[labels[r] == c]
+            assert np.array_equal(means[r, c], np.cumsum(members, axis=0)[-1] / len(members))
+            if dim > 1:
+                # numpy's mean over the rows of two or more columns adds them in order too
+                assert np.array_equal(means[r, c], members.mean(axis=0))
 
 
 def spectral_embedding(adj, k):
@@ -320,7 +334,8 @@ def revival_case(seed):
         pytest.param(lambda: np.ones((40, 3)), 4, 9, "init", 1, id="all-identical"),
         pytest.param(two_places_points, 4, 12, "init", 2, id="zero-total-mid-seeding"),
         pytest.param(mid_lloyd_empty_points, 3, 472, "lloyd", None, id="empty-mid-lloyd"),
-        # one column: numpy's mean sums it pairwise, so every pass goes cluster by cluster
+        # one column: its means add the points in point order, where numpy's mean would
+        # sum them pairwise
         pytest.param(
             lambda: np.random.default_rng(3).standard_normal((60, 1)), 3, 10, None, None,
             id="one-column",
@@ -332,24 +347,21 @@ def revival_case(seed):
         pytest.param(lambda: revival_case(18138)[0], 4, 18138, "lloyd", None, id="revival-k=4"),
     ],
 )
-def test_kmeans_bitwise_equals_reference(make_points, k, seed, revive, zero_at, monkeypatch):
+def test_kmeans_bitwise_equals_reference(make_points, k, seed, revive, zero_at):
     points = make_points()
-    revived, zero_totals = [], []
-    expected_labels, expected_inertia = reference_kmeans(points, k, seed, revived, zero_totals)
-    by_cluster, lockstep_rows = [], []
-    centers_by_cluster = spectral._centers_by_cluster
-    monkeypatch.setattr(
-        spectral, "_centers_by_cluster", lambda *a: by_cluster.append(1) or centers_by_cluster(*a)
-    )
-    cluster_means = spectral._cluster_means
-    monkeypatch.setattr(
-        spectral,
-        "_cluster_means",
-        lambda p, lab, n: lockstep_rows.append(len(lab)) or cluster_means(p, lab, n),
+    revived, zero_totals, runs = [], [], []
+    expected_labels, expected_inertia = reference_kmeans(
+        points, k, seed, revived, zero_totals, runs
     )
     labels, inertia = kmeans(points, k, seed)
     assert np.array_equal(labels, expected_labels)
     assert inertia == expected_inertia
+    # every restart matches its serial run, not only the best: a revival in a
+    # restart that loses shows here
+    starts = spectral._kmeans_pp_starts(points, k, np.random.default_rng(seed))
+    all_labels, all_inertia = spectral._lloyd_restarts(points, starts)
+    assert np.array_equal(all_labels, np.array([run[0] for run in runs]))
+    assert all_inertia.tolist() == [run[1] for run in runs]
     # a distance total reaches 0 first at center zero_at, or never
     assert min(zero_totals, default=None) == zero_at
     if revive is None:
@@ -357,12 +369,20 @@ def test_kmeans_bitwise_equals_reference(make_points, k, seed, revive, zero_at, 
     else:
         # revived at the first Lloyd pass (the starts coincide) or a later one
         assert (min(it for _, it in revived) == 0) == (revive == "init")
-    if points.shape[1] == 1:
-        # every pass of every restart takes its centers cluster by cluster
-        assert sum(lockstep_rows) == 0 and len(by_cluster) >= spectral.KMEANS_RESTARTS
-    else:
-        # only the passes that revive a cluster do, once per restart and pass
-        assert len(by_cluster) == len(set(revived))
+
+
+def test_revival_takes_clusters_in_order_and_the_farthest_point_first():
+    # restart 0 starts with clusters 2 and 3 empty, restart 1 with 0 and 3.
+    # The first empty cluster takes point 2, the farthest from its center
+    # (distance 4); the next takes point 1, the first of the points at
+    # distance 1 (points 1, 3 and 5). The labels then repeat.
+    points = np.array([[0.0], [1.0], [2.0], [10.0], [11.0], [12.0]])
+    starts = np.array([[[0.0], [11.0], [100.0], [200.0]], [[100.0], [0.0], [11.0], [200.0]]])
+    labels, inertia = spectral._lloyd_restarts(points, starts.copy())
+    assert labels.tolist() == [[0, 3, 2, 1, 1, 1], [1, 3, 0, 2, 2, 2]]
+    assert inertia.tolist() == [2.0, 2.0]
+    for start, expected in zip(starts, labels):
+        assert np.array_equal(reference_lloyd(points, start.copy(), [])[0], expected)
 
 
 def test_kmeans_pp_starts_equal_reference_starts_at_zero_totals():

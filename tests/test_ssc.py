@@ -236,6 +236,28 @@ def test_admm_kkt_residual_small_when_pushed():
         assert info.converged
 
 
+def test_lasso_kkt_residual_above_tolerance_is_reported(monkeypatch):
+    # with the tolerance below every column's residual, every column fails it
+    data = subspace_data(9, 3, (8, 8), seed=11)
+    _, solved = ssc_coefficients(data.points, return_info=True)
+    tol = min(info.kkt_residual for info in solved) / 2
+    assert tol > 0
+    monkeypatch.setattr(ssc, "PATH_KKT_TOL", tol)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        z, infos = ssc_coefficients(data.points, return_info=True)
+    assert [(w.category, str(w.message)) for w in caught] == [
+        (RuntimeWarning,
+         "self-representation did not converge for 16 of 16 columns (first: [0, 1, 2, 3, 4])")
+    ]
+    for before, info in zip(solved, infos):
+        assert not info.converged
+        assert info.message == f"KKT residual {info.kkt_residual:.1e} above {tol:.0e}"
+        # the solve itself is the same; only the verdict changes
+        assert (info.kkt_residual, info.objective) == (before.kkt_residual, before.objective)
+    assert np.count_nonzero(z) > 0
+
+
 def test_default_admm_recovers_block_structure():
     data = subspace_data(12, 2, (10, 10), seed=19)
     adj = ssc_adjacency(data.points)
